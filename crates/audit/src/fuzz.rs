@@ -155,7 +155,7 @@ fn dispatch(family: &str, seed: u64) -> Result<(), String> {
         "maj3_into" => fuzz_maj3(&mut rng),
         "maj5_into" => fuzz_maj5(&mut rng),
         "maj5_tie_into" => fuzz_maj5_tie(&mut rng),
-        "ripple_majority_into" => fuzz_ripple_majority(&mut rng),
+        "ripple_majority_into" => fuzz_ripple_majority(&mut rng, seed),
         "csa_step" => fuzz_csa_step(&mut rng),
         "counter_majority_into" => fuzz_counter_majority(&mut rng),
         "xor_rotated_into" => fuzz_xor_rotated(&mut rng),
@@ -441,13 +441,29 @@ fn fuzz_maj5_tie(rng: &mut XorShift64) -> Result<(), String> {
     Ok(())
 }
 
-fn fuzz_ripple_majority(rng: &mut XorShift64) -> Result<(), String> {
+/// Input counts on either side of the vote counter's plane-count steps
+/// (`2^k - 1` and `2^k` inputs).
+const PLANE_BOUNDARIES: [usize; 10] = [3, 4, 7, 8, 15, 16, 31, 32, 63, 64];
+
+fn fuzz_ripple_majority(rng: &mut XorShift64, seed: u64) -> Result<(), String> {
     let w = pick_width(rng).min(160);
-    let n = rng.range(1, 11);
-    let even_tie = n >= 2 && rng.chance(1, 2);
+    // Every even seed runs one plane boundary, with or without the tie,
+    // so any 40 consecutive seeds cover all of them.
+    let (n, even_tie) = if seed % 2 == 0 {
+        let k = (seed / 2 % 20) as usize;
+        (PLANE_BOUNDARIES[k / 2], k % 2 == 1)
+    } else {
+        let n = rng.range(1, 64);
+        (n, n >= 2 && rng.chance(1, 2))
+    };
     let votes = n + usize::from(even_tie);
-    // Occasionally a threshold no count can reach (all-zero output).
-    let threshold = rng.range(1, votes + 2) as u32;
+    // Occasionally a threshold no count can reach (all-zero output),
+    // including ones wider than the counter.
+    let threshold = if rng.chance(1, 8) {
+        rng.range(1024, 1 << 16) as u32
+    } else {
+        rng.range(1, votes + 1) as u32
+    };
     let xs: Vec<Vec<u64>> = (0..n).map(|_| gen_words(rng, w)).collect();
     let mut refs: Vec<&[u64]> = xs.iter().map(Vec::as_slice).collect();
     let tie: Vec<u64>;

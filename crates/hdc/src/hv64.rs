@@ -519,11 +519,21 @@ impl BitslicedBundler {
     /// Where [`add`](Self::add) streams inputs through heap-resident
     /// counter planes (one pass over the planes per input), this form
     /// makes a **single pass over the words**: for each output word the
-    /// vote counters live in registers, the common vote sizes (an
-    /// effective count of 3 or 5 — e.g. 4 channels + tie, or 5-sample
-    /// windows of unigrams) collapse into fixed full-adder majority
-    /// networks, and larger counts fall back to an in-register ripple
-    /// counter. This is the hot-path entry point of the fast backend's
+    /// vote counters live in registers, and no step branches on the
+    /// data.
+    ///
+    /// * **The tie rule is an OR.** The tie input `x0 ⊕ x1` makes
+    ///   `x0 + x1 + (x0 ⊕ x1) = 2·(x0 ∨ x1)`. So two inputs vote as
+    ///   `x0 ∨ x1`, and four (4 channels + tie) as
+    ///   `(x0 ∨ x1) ∧ (x2 ∨ x3)`.
+    /// * **Three and five inputs** (e.g. 5-sample windows of unigrams)
+    ///   are fixed full-adder majority networks.
+    /// * **Larger votes** run a counter of fixed depth, the bit width
+    ///   of the vote count. Inputs enter two at a time through a full
+    ///   adder into plane 0, and its carry is half-added through the
+    ///   higher planes. An even vote seeds plane 1 with `x0 ∨ x1`.
+    ///
+    /// This is the hot-path entry point of the fast backend's
     /// spatial and temporal bundling; it performs no heap allocation
     /// for votes up to 1022 inputs and needs no persistent accumulator
     /// state (hence no `self`). Wider votes — beyond the 10-plane
@@ -569,8 +579,8 @@ impl BitslicedBundler {
                 simd.maj3_into(&get(0).words, &get(1).words, &get(2).words, &mut out.words);
             }
             5 if n == 4 => {
-                // Two full adders + a 3-input combine, the fifth input
-                // being the in-register tie vector x0 ⊕ x1.
+                // majority({x0..x3, x0⊕x1}) at threshold 3 reduces to
+                // (x0 | x1) & (x2 | x3).
                 simd.maj5_tie_into(
                     &get(0).words,
                     &get(1).words,
@@ -1237,8 +1247,10 @@ mod tests {
     fn bundle_paper_into_matches_majority_paper64_for_all_counts() {
         // n = 1..14 crosses every specialization boundary: identity,
         // the OR shortcut (n = 2), maj-3, maj-5 with and without the
-        // tie input, and the generic in-register ripple counter.
-        for n in 1usize..14 {
+        // tie input, and the fixed-depth counter; the larger counts
+        // cover the served temporal vote (25) and the counter's
+        // plane-count steps.
+        for n in (1usize..14).chain([24, 25, 31, 32, 63, 64]) {
             for n_words32 in [1usize, 3, 11, 313] {
                 let hvs: Vec<Hv64> = (0..n)
                     .map(|s| Hv64::from_binary(&BinaryHv::random(n_words32, 550 + s as u64)))

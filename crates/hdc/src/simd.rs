@@ -12,6 +12,22 @@
 //!   the auto-vectorizer handles on any target — and that doubles as
 //!   the scalar reference the SIMD paths are property-tested against.
 //!
+//! The two vote kernels of the encoder are branch-free on both levels:
+//!
+//! * **The tie rule is an OR.** The paper breaks even votes with the
+//!   extra input `x0 ⊕ x1`, and per lane `x0 + x1 + (x0 ⊕ x1) =
+//!   2·(x0 ∨ x1)`. So the 4-input spatial vote
+//!   ([`Simd::maj5_tie_into`]) is `(x0 ∨ x1) ∧ (x2 ∨ x3)`, three logic
+//!   ops, and an even temporal vote seeds counter plane 1 with
+//!   `x0 ∨ x1` instead of counting three inputs.
+//! * **The vote counter has a fixed depth.**
+//!   [`Simd::ripple_majority_into`] fixes its plane count once per call
+//!   as the bit width of the vote count (2 to [`RIPPLE_PLANES`] planes,
+//!   one const-generic instantiation each, so the planes stay in
+//!   registers). Inputs enter two at a time through a full adder into
+//!   plane 0, and its carry is half-added through every higher plane
+//!   with no data-dependent branch.
+//!
 //! The level is picked **once per process** at first use via
 //! [`is_x86_feature_detected!`]; `cargo build` on stable works
 //! everywhere because nothing is gated at compile time. Both levels are
@@ -42,9 +58,34 @@ use core::sync::atomic::{AtomicU8, Ordering};
 /// boundaries, so pruned-scan distances never depend on the CPU.
 pub const SCAN_BLOCK_WORDS64: usize = 8;
 
-/// Counter planes of the in-register carry-save majority: votes up to
+/// Most counter planes of the in-register vote counter: votes up to
 /// `2^10 - 1` inputs.
 pub const RIPPLE_PLANES: usize = 10;
+
+/// Counter planes a vote of `votes` inputs needs: the bit width of the
+/// largest count, and at least 2, the plane an even tie seeds.
+fn counter_planes(votes: usize) -> usize {
+    (usize::BITS - votes.leading_zeros()).max(2) as usize
+}
+
+/// Calls the const-generic counter `$kernel::<P, _>(args)` for the
+/// runtime plane count `$planes` in `2..=RIPPLE_PLANES`.
+macro_rules! with_planes {
+    ($planes:expr, $kernel:ident($($arg:expr),* $(,)?)) => {
+        match $planes {
+            2 => $kernel::<2, _>($($arg),*),
+            3 => $kernel::<3, _>($($arg),*),
+            4 => $kernel::<4, _>($($arg),*),
+            5 => $kernel::<5, _>($($arg),*),
+            6 => $kernel::<6, _>($($arg),*),
+            7 => $kernel::<7, _>($($arg),*),
+            8 => $kernel::<8, _>($($arg),*),
+            9 => $kernel::<9, _>($($arg),*),
+            10 => $kernel::<10, _>($($arg),*),
+            p => unreachable!("{p} counter planes outside 2..={}", $crate::simd::RIPPLE_PLANES),
+        }
+    };
+}
 
 /// Cached process-wide kernel level: 0 = undecided, 1 = portable,
 /// 2 = AVX2.
@@ -340,7 +381,9 @@ impl Simd {
     }
 
     /// 5-input majority whose fifth input is the paper's tie-break
-    /// vector `x0 ⊕ x1`, computed in-register (the 4-input even vote).
+    /// vector `x0 ⊕ x1` (the 4-input even vote). Since `x0 + x1 +
+    /// (x0 ⊕ x1) = 2·(x0 ∨ x1)`, a count of at least 3 is exactly
+    /// `(x0 ∨ x1) ∧ (x2 ∨ x3)`.
     ///
     /// # Panics
     ///
@@ -371,7 +414,15 @@ impl Simd {
     /// index, with the vote counters ("bundling planes") held in
     /// registers: `out[w]` gets bit `c` set iff at least `threshold` of
     /// the inputs (plus, when `even_tie`, the tie vector
-    /// `get(0) ⊕ get(1)`) have bit `c` of word `w` set.
+    /// `get(0) ⊕ get(1)`) have bit `c` of word `w` set. A threshold
+    /// above the vote count yields all zeros.
+    ///
+    /// The counter has a fixed depth: the bit width of the vote count,
+    /// fixed once per call. Inputs enter two at a time through a full
+    /// adder into plane 0, and its carry is half-added through the
+    /// higher planes with no branch. An even tie seeds plane 1 with
+    /// `get(0) ∨ get(1)`, which counts `get(0)`, `get(1)` and the tie
+    /// vector at once.
     ///
     /// The effective vote count `n + even_tie` must stay below
     /// `2^`[`RIPPLE_PLANES`]; wider votes belong to the streaming
@@ -379,8 +430,9 @@ impl Simd {
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0`, `threshold == 0`, the vote count overflows
-    /// the counter, or any input length differs from `out`'s.
+    /// Panics if `n == 0`, `threshold == 0`, `even_tie` with fewer than
+    /// two inputs, the vote count overflows the counter, or any input
+    /// length differs from `out`'s.
     pub fn ripple_majority_into<'a, F>(
         self,
         n: usize,
@@ -393,12 +445,19 @@ impl Simd {
     {
         assert!(n > 0, "majority of an empty set is undefined");
         assert!(threshold > 0, "majority threshold must be at least 1");
+        assert!(!even_tie || n >= 2, "the tie vote needs two inputs");
+        let votes = n + usize::from(even_tie);
         assert!(
-            n + usize::from(even_tie) < (1 << RIPPLE_PLANES),
+            votes < (1 << RIPPLE_PLANES),
             "vote of {n} inputs overflows the {RIPPLE_PLANES}-plane counter"
         );
         for i in 0..n {
             assert_eq!(get(i).len(), out.len(), "kernel operand length mismatch");
+        }
+        if threshold as usize > votes {
+            // No count can reach the threshold.
+            out.fill(0);
+            return;
         }
         match self {
             Self::Portable => portable::ripple_majority_from(n, &get, even_tie, threshold, out, 0),
@@ -677,7 +736,7 @@ pub(crate) fn full_add(a: u64, b: u64, c: u64) -> (u64, u64) {
 /// the auto-vectorizer can widen it, and simple enough to audit — this
 /// is the reference implementation of every kernel.
 mod portable {
-    use super::{full_add, RotGeom, RIPPLE_PLANES, SCAN_BLOCK_WORDS64};
+    use super::{full_add, RotGeom, SCAN_BLOCK_WORDS64};
 
     /// Applies `f` to 4-word blocks of three equal-length slices
     /// (two inputs, one output), then to the remainder wordwise.
@@ -810,14 +869,14 @@ mod portable {
     }
 
     pub(super) fn maj5_tie_into(x0: &[u64], x1: &[u64], x2: &[u64], x3: &[u64], out: &mut [u64]) {
-        for (j, o) in out.iter_mut().enumerate() {
-            *o = maj5_word(x0[j], x1[j], x2[j], x3[j], x0[j] ^ x1[j]);
+        for ((((o, &a), &b), &c), &d) in out.iter_mut().zip(x0).zip(x1).zip(x2).zip(x3) {
+            *o = (a | b) & (c | d);
         }
     }
 
-    /// The in-register ripple counter from word `start` to the end —
-    /// also the tail loop of the AVX2 version, which is why the range
-    /// is a parameter.
+    /// The fixed-depth vote counter from word `start` to the end — also
+    /// the tail loop of the AVX2 version, which is why the range is a
+    /// parameter. Requires `threshold <= n + even_tie`.
     pub(super) fn ripple_majority_from<'a, F>(
         n: usize,
         get: &F,
@@ -828,34 +887,101 @@ mod portable {
     ) where
         F: Fn(usize) -> &'a [u64],
     {
-        let t_bits = (32 - threshold.leading_zeros()) as usize;
-        for (wi, o) in out.iter_mut().enumerate().skip(start) {
-            let mut planes = [0u64; RIPPLE_PLANES];
-            let mut used = 0usize;
-            let ripple = |planes: &mut [u64; RIPPLE_PLANES], used: &mut usize, w: u64| {
-                let mut carry = w;
-                let mut p = 0;
-                while carry != 0 {
-                    let t = planes[p] & carry;
-                    planes[p] ^= carry;
-                    carry = t;
-                    p += 1;
-                }
-                *used = (*used).max(p);
+        let planes = super::counter_planes(n + usize::from(even_tie));
+        with_planes!(planes, vote_words(n, get, even_tie, threshold, out, start));
+    }
+
+    /// [`ripple_majority_from`] with its `P` counter planes in
+    /// registers: four words per step, then word by word.
+    fn vote_words<'a, const P: usize, F>(
+        n: usize,
+        get: &F,
+        even_tie: bool,
+        threshold: u32,
+        out: &mut [u64],
+        start: usize,
+    ) where
+        F: Fn(usize) -> &'a [u64],
+    {
+        let mut wi = start;
+        while wi + 4 <= out.len() {
+            let v: [u64; 4] = vote_block::<P, 4, F>(n, get, even_tie, threshold, wi);
+            out[wi..wi + 4].copy_from_slice(&v);
+            wi += 4;
+        }
+        for (w, o) in out.iter_mut().enumerate().skip(wi) {
+            [*o] = vote_block::<P, 1, F>(n, get, even_tie, threshold, w);
+        }
+    }
+
+    /// The vote over words `wi..wi + L`, each counter plane an `[u64; L]`.
+    #[inline(always)]
+    fn vote_block<'a, const P: usize, const L: usize, F>(
+        n: usize,
+        get: &F,
+        even_tie: bool,
+        threshold: u32,
+        wi: usize,
+    ) -> [u64; L]
+    where
+        F: Fn(usize) -> &'a [u64],
+    {
+        let load = |i: usize| -> [u64; L] {
+            let mut x = [0u64; L];
+            x.copy_from_slice(&get(i)[wi..wi + L]);
+            x
+        };
+        let mut planes = [[0u64; L]; P];
+        let mut i = if even_tie {
+            planes[1] = lanes(load(0), load(1), |a, b| a | b);
+            2
+        } else {
+            planes[0] = load(0);
+            1
+        };
+        while i + 2 <= n {
+            let (a, b) = (load(i), load(i + 1));
+            let mut carry = [0u64; L];
+            for (((s, c), a), b) in planes[0].iter_mut().zip(&mut carry).zip(a).zip(b) {
+                (*s, *c) = full_add(*s, a, b);
+            }
+            half_add_from(&mut planes, 1, carry);
+            i += 2;
+        }
+        if i < n {
+            half_add_from(&mut planes, 0, load(i));
+        }
+        // count >= threshold, decided from the lowest plane up: a set
+        // threshold bit needs the count bit, a clear one is met by it.
+        let mut geq = [u64::MAX; L];
+        for (p, &plane) in planes.iter().enumerate() {
+            geq = if threshold >> p & 1 == 1 {
+                lanes(geq, plane, |g, x| g & x)
+            } else {
+                lanes(geq, plane, |g, x| g | x)
             };
-            for i in 0..n {
-                ripple(&mut planes, &mut used, get(i)[wi]);
-            }
-            if even_tie {
-                ripple(&mut planes, &mut used, get(0)[wi] ^ get(1)[wi]);
-            }
-            // count >= threshold ⇔ (count - threshold) does not borrow.
-            let mut borrow = 0u64;
-            for (p, &plane) in planes.iter().enumerate().take(used.max(t_bits)) {
-                let t = if threshold >> p & 1 == 1 { u64::MAX } else { 0 };
-                borrow = (!plane & (t | borrow)) | (t & borrow);
-            }
-            *o = !borrow;
+        }
+        geq
+    }
+
+    /// `f` applied lane by lane.
+    #[inline(always)]
+    fn lanes<const L: usize>(a: [u64; L], b: [u64; L], f: impl Fn(u64, u64) -> u64) -> [u64; L] {
+        core::array::from_fn(|k| f(a[k], b[k]))
+    }
+
+    /// Half-adds `carry` into planes `first..P`. The caller bounds the
+    /// count below `2^P`, so the last carry is always zero.
+    #[inline(always)]
+    fn half_add_from<const P: usize, const L: usize>(
+        planes: &mut [[u64; L]; P],
+        first: usize,
+        mut carry: [u64; L],
+    ) {
+        for plane in &mut planes[first..] {
+            let t = lanes(*plane, carry, |p, c| p & c);
+            *plane = lanes(*plane, carry, |p, c| p ^ c);
+            carry = t;
         }
     }
 
@@ -962,7 +1088,7 @@ mod avx2 {
         _mm_cvtsi32_si128,
     };
 
-    use super::{RotGeom, RIPPLE_PLANES, SCAN_BLOCK_WORDS64};
+    use super::{RotGeom, SCAN_BLOCK_WORDS64};
 
     /// Unaligned 4-word load at `a[i..i + 4]`.
     ///
@@ -1323,32 +1449,30 @@ mod avx2 {
         while i + 4 <= n {
             // SAFETY: the loop bound keeps every 4-word lane in range;
             // AVX2 flows from the enclosing `#[target_feature]` contract.
-            let (a, b) = unsafe { (loadu(x0, i), loadu(x1, i)) };
-            // SAFETY: register-only intrinsics; AVX2 flows from the
-            // enclosing `#[target_feature]` contract.
-            let tie = unsafe { _mm256_xor_si256(a, b) };
-            // SAFETY: the remaining load shares the `i + 4 <= n` bound;
-            // the majority network itself is register-only.
-            let v = unsafe { maj5_v(a, b, loadu(x2, i), loadu(x3, i), tie) };
+            let v = unsafe {
+                _mm256_and_si256(
+                    _mm256_or_si256(loadu(x0, i), loadu(x1, i)),
+                    _mm256_or_si256(loadu(x2, i), loadu(x3, i)),
+                )
+            };
             // SAFETY: same bound as the load above.
             unsafe { storeu(out, i, v) };
             i += 4;
         }
         while i < n {
-            let (s1, c1) = super::full_add(x0[i], x1[i], x2[i]);
-            let (s2, c2) = super::full_add(s1, x3[i], x0[i] ^ x1[i]);
-            out[i] = (c1 & c2) | ((c1 | c2) & s2);
+            out[i] = (x0[i] | x1[i]) & (x2[i] | x3[i]);
             i += 1;
         }
     }
 
-    /// The carry-save bundling planes held in `__m256i` registers: the
-    /// same ripple/borrow network as the portable level, voting over
-    /// 256 components per step. Tail words run the portable loop.
+    /// The fixed-depth vote counter over 256-bit lanes, 256 components
+    /// per step; tail words run the portable loop.
     ///
     /// # Safety
     ///
-    /// Requires AVX2; every `get(i)` must be at least `out.len()` words.
+    /// Requires AVX2, `threshold <= n + even_tie < 2^RIPPLE_PLANES`,
+    /// `n >= 2` when `even_tie`, and every `get(i)` at least
+    /// `out.len()` words.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn ripple_majority_into<'a, F>(
         n: usize,
@@ -1359,7 +1483,33 @@ mod avx2 {
     ) where
         F: Fn(usize) -> &'a [u64],
     {
-        let t_bits = (32 - threshold.leading_zeros()) as usize;
+        let planes = super::counter_planes(n + usize::from(even_tie));
+        // SAFETY: this fn's contract is `vote_lanes`'s, and
+        // `counter_planes` picks a `P` with `n + even_tie < 2^P`.
+        let end = unsafe { with_planes!(planes, vote_lanes(n, get, even_tie, threshold, out)) };
+        super::portable::ripple_majority_from(n, get, even_tie, threshold, out, end);
+    }
+
+    /// [`ripple_majority_into`] with its `P` counter planes in
+    /// registers, over every whole 4-word step of `out`; returns the
+    /// first word it left for the tail loop.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2, `threshold <= n + even_tie < 2^P`, `n >= 2` when
+    /// `even_tie`, and every `get(i)` at least `out.len()` words.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn vote_lanes<'a, const P: usize, F>(
+        n: usize,
+        get: &F,
+        even_tie: bool,
+        threshold: u32,
+        out: &mut [u64],
+    ) -> usize
+    where
+        F: Fn(usize) -> &'a [u64],
+    {
         let n_words = out.len();
         let mut wi = 0;
         while wi + 4 <= n_words {
@@ -1367,58 +1517,62 @@ mod avx2 {
             // `get(i)` slice matches `out` per the caller contract;
             // AVX2 flows from the enclosing `#[target_feature]` contract.
             unsafe {
-                let zero = _mm256_setzero_si256();
-                let mut planes = [zero; RIPPLE_PLANES];
-                let mut used = 0usize;
-                for i in 0..n {
-                    let w = loadu(get(i), wi);
-                    used = used.max(ripple_v(&mut planes, w));
+                let mut planes = [_mm256_setzero_si256(); P];
+                let mut i = if even_tie {
+                    planes[1] = _mm256_or_si256(loadu(get(0), wi), loadu(get(1), wi));
+                    2
+                } else {
+                    planes[0] = loadu(get(0), wi);
+                    1
+                };
+                while i + 2 <= n {
+                    let (sum, carry) =
+                        full_add_v(planes[0], loadu(get(i), wi), loadu(get(i + 1), wi));
+                    planes[0] = sum;
+                    half_add_from_v(&mut planes, 1, carry);
+                    i += 2;
                 }
-                if even_tie {
-                    let tie = _mm256_xor_si256(loadu(get(0), wi), loadu(get(1), wi));
-                    used = used.max(ripple_v(&mut planes, tie));
+                if i < n {
+                    half_add_from_v(&mut planes, 0, loadu(get(i), wi));
                 }
-                let ones = _mm256_set1_epi8(-1);
-                let mut borrow = zero;
-                for (p, &plane) in planes.iter().enumerate().take(used.max(t_bits)) {
-                    let t = if threshold >> p & 1 == 1 { ones } else { zero };
-                    let t_or_b = _mm256_or_si256(t, borrow);
-                    borrow = _mm256_or_si256(
-                        _mm256_andnot_si256(plane, t_or_b),
-                        _mm256_and_si256(t, borrow),
-                    );
+                // count >= threshold, decided as on the portable level.
+                let mut geq = _mm256_set1_epi8(-1);
+                for (p, &plane) in planes.iter().enumerate() {
+                    geq = if threshold >> p & 1 == 1 {
+                        _mm256_and_si256(geq, plane)
+                    } else {
+                        _mm256_or_si256(geq, plane)
+                    };
                 }
-                storeu(out, wi, _mm256_xor_si256(borrow, ones));
+                storeu(out, wi, geq);
             }
             wi += 4;
         }
-        super::portable::ripple_majority_from(n, get, even_tie, threshold, out, wi);
+        wi
     }
 
-    /// Ripple-carry increment of the vertical counters by one 256-bit
-    /// input; returns the number of planes touched.
+    /// Half-adds `carry` into planes `first..P`. The caller bounds the
+    /// count below `2^P`, so the last carry is always zero.
     ///
     /// # Safety
     ///
-    /// Requires AVX2; the caller bounds the vote count below
-    /// `2^RIPPLE_PLANES`.
+    /// Requires AVX2.
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn ripple_v(planes: &mut [__m256i; RIPPLE_PLANES], w: __m256i) -> usize {
-        let mut carry = w;
-        let mut p = 0;
-        // SAFETY: register-only intrinsics; the caller bounds the
-        // vote count so `p` never reaches RIPPLE_PLANES; AVX2 flows
-        // from the enclosing `#[target_feature]` contract.
-        unsafe {
-            while _mm256_testz_si256(carry, carry) == 0 {
-                let t = _mm256_and_si256(planes[p], carry);
-                planes[p] = _mm256_xor_si256(planes[p], carry);
+    unsafe fn half_add_from_v<const P: usize>(
+        planes: &mut [__m256i; P],
+        first: usize,
+        mut carry: __m256i,
+    ) {
+        for plane in &mut planes[first..] {
+            // SAFETY: register-only intrinsics; AVX2 flows from the
+            // enclosing `#[target_feature]` contract.
+            unsafe {
+                let t = _mm256_and_si256(*plane, carry);
+                *plane = _mm256_xor_si256(*plane, carry);
                 carry = t;
-                p += 1;
             }
         }
-        p
     }
 
     /// # Safety
@@ -1807,12 +1961,64 @@ mod tests {
         }
     }
 
+    /// All 16 input rows of the tie vote, one per bit lane, against the
+    /// counting reference `x0 + x1 + x2 + x3 + (x0 ⊕ x1) >= 3`. The
+    /// rows repeat across five words, so the AVX2 lanes and the scalar
+    /// tail both see every row.
+    #[test]
+    fn maj5_tie_matches_its_truth_table_on_all_levels() {
+        let len = 5;
+        // Input k's bit r is bit k of row r.
+        let input = |k: usize| -> Vec<u64> {
+            vec![(0..16u64).filter(|r| r >> k & 1 == 1).map(|r| 1 << r).sum(); len]
+        };
+        let xs: Vec<Vec<u64>> = (0..4).map(input).collect();
+        let mut expected = 0u64;
+        for row in 0..16u64 {
+            let bit = |k: usize| row >> k & 1;
+            if bit(0) + bit(1) + bit(2) + bit(3) + (bit(0) ^ bit(1)) >= 3 {
+                expected |= 1 << row;
+            }
+        }
+        for level in levels() {
+            let mut out = vec![u64::MAX; len];
+            level.maj5_tie_into(&xs[0], &xs[1], &xs[2], &xs[3], &mut out);
+            assert_eq!(out, vec![expected; len], "{level:?}");
+        }
+    }
+
+    /// A threshold above the vote count, including ones wider than the
+    /// counter, yields all zeros.
+    #[test]
+    fn ripple_majority_unreachable_threshold_is_all_zeros_on_all_levels() {
+        let ones = vec![u64::MAX; 5];
+        for level in levels() {
+            for (n, even_tie, threshold) in [
+                (3usize, false, 4u32),
+                (3, false, 1024),
+                (3, false, 1025),
+                (3, false, 2048),
+                (3, false, u32::MAX),
+                (4, true, 6),
+                (1022, true, 1024),
+            ] {
+                let mut out = vec![u64::MAX; ones.len()];
+                level.ripple_majority_into(n, |_| ones.as_slice(), even_tie, threshold, &mut out);
+                assert_eq!(
+                    out,
+                    vec![0; ones.len()],
+                    "{level:?} n {n} threshold {threshold}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn ripple_majority_matches_counting_reference_on_all_levels() {
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(0x55);
         for level in levels() {
             for len in [1usize, 4, 7, 11] {
-                for n in [3usize, 6, 7, 9, 21] {
+                for n in [3usize, 6, 7, 9, 21, 24, 25, 31, 32, 63, 64] {
                     let xs: Vec<Vec<u64>> = (0..n).map(|_| words(len, &mut rng)).collect();
                     let even = n % 2 == 0;
                     let n_eff = n + usize::from(even);

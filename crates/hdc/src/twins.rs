@@ -102,7 +102,8 @@ pub const KERNEL_HELPERS: &[&str] = &[
     "hsum_epi64",
     "full_add_v",
     "maj5_v",
-    "ripple_v",
+    "vote_lanes",
+    "half_add_from_v",
 ];
 
 #[cfg(test)]
