@@ -825,6 +825,23 @@ fn decode_anything(bytes: &[u8]) {
 }
 
 fn fuzz_proto(rng: &mut XorShift64) -> Result<(), String> {
+    // Every case: appending the response in place, after a random
+    // prefix, must leave the prefix alone and add exactly the
+    // standalone frame.
+    let id = rng.next_u64();
+    let resp = gen_response(rng);
+    let frame = proto::encode_response(id, &resp);
+    let prefix: Vec<u8> = (0..rng.range(0, 64))
+        .map(|_| rng.next_u64() as u8)
+        .collect();
+    let mut appended = prefix.clone();
+    proto::encode_response_into(&mut appended, id, &resp);
+    if appended[..prefix.len()] != prefix[..] || appended[prefix.len()..] != frame[..] {
+        return Err(format!(
+            "encode_response_into after a {}-byte prefix differs from encode_response: {resp:?}",
+            prefix.len()
+        ));
+    }
     match rng.below(3) {
         // Round-trip: encode → decode must reproduce the value.
         0 => {
@@ -845,12 +862,9 @@ fn fuzz_proto(rng: &mut XorShift64) -> Result<(), String> {
             }
         }
         1 => {
-            let id = rng.next_u64();
-            let resp = gen_response(rng);
-            let bytes = proto::encode_response(id, &resp);
-            let header = proto::decode_header(&bytes, proto::DEFAULT_MAX_FRAME)
+            let header = proto::decode_header(&frame, proto::DEFAULT_MAX_FRAME)
                 .map_err(|e| format!("response header rejected: {e}"))?;
-            let decoded = proto::decode_response(&header, &bytes[proto::HEADER_LEN..])
+            let decoded = proto::decode_response(&header, &frame[proto::HEADER_LEN..])
                 .map_err(|e| format!("valid response rejected: {e}"))?;
             if decoded != resp {
                 return Err(format!(
@@ -860,11 +874,10 @@ fn fuzz_proto(rng: &mut XorShift64) -> Result<(), String> {
         }
         // Adversarial: mutate a valid frame and require decode totality.
         _ => {
-            let id = rng.next_u64();
             let mut bytes = if rng.chance(1, 2) {
                 proto::encode_request(id, &gen_request(rng))
             } else {
-                proto::encode_response(id, &gen_response(rng))
+                frame
             };
             match rng.below(3) {
                 0 => {

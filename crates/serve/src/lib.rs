@@ -85,7 +85,9 @@ pub use net::{NetClient, NetError, NetServer};
 pub use stats::ServerStats;
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::{
+    sync_channel, Receiver, RecvTimeoutError, SyncSender, TryRecvError, TrySendError,
+};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -732,6 +734,18 @@ impl Ticket {
         }
     }
 
+    /// The non-blocking peek: this request's result if it has already
+    /// arrived (the ticket is spent), or the ticket back, untouched, if
+    /// it has not. The wire responder uses it to send every answered
+    /// reply in one write without waiting on a later one.
+    pub(crate) fn try_wait(self) -> Result<Result<Verdict, ServeError>, Self> {
+        match self.reply.try_recv() {
+            Ok(result) => Ok(result),
+            Err(TryRecvError::Empty) => Err(self),
+            Err(TryRecvError::Disconnected) => Ok(Err(self.disconnect_error())),
+        }
+    }
+
     /// The typed verdict for a reply channel that closed with no
     /// answer: a crashed batcher versus a graceful shutdown race.
     fn disconnect_error(&self) -> ServeError {
@@ -1091,5 +1105,39 @@ mod tests {
             Err(ServeError::ServerDied)
         ));
         drop(tx);
+    }
+
+    /// The non-blocking peek hands an unanswered ticket back intact (a
+    /// later `wait` still gets the verdict), takes an arrived result,
+    /// and types a closed channel like `wait` does.
+    #[test]
+    fn try_wait_returns_pending_tickets_intact() {
+        let (tx, rx) = sync_channel::<Result<Verdict, ServeError>>(1);
+        let ticket = Ticket {
+            reply: rx,
+            shared: shared(false),
+        };
+        let ticket = ticket.try_wait().expect_err("nothing sent yet");
+        tx.send(Err(ServeError::DeadlineExceeded)).unwrap();
+        assert!(matches!(
+            ticket.try_wait(),
+            Ok(Err(ServeError::DeadlineExceeded))
+        ));
+
+        let (tx, rx) = sync_channel::<Result<Verdict, ServeError>>(1);
+        let ticket = Ticket {
+            reply: rx,
+            shared: shared(false),
+        };
+        let ticket = ticket.try_wait().expect_err("nothing sent yet");
+        tx.send(Err(ServeError::Closed)).unwrap();
+        assert!(matches!(ticket.wait(), Err(ServeError::Closed)));
+
+        let (_, rx) = sync_channel::<Result<Verdict, ServeError>>(1);
+        let ticket = Ticket {
+            reply: rx,
+            shared: shared(true),
+        };
+        assert!(matches!(ticket.try_wait(), Ok(Err(ServeError::ServerDied))));
     }
 }

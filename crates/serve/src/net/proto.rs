@@ -280,34 +280,60 @@ fn put_f64(out: &mut Vec<u8>, v: f64) {
     put_u64(out, v.to_bits());
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    let bytes = s.as_bytes();
-    let take = bytes.len().min(MAX_DETAIL as usize);
-    // Truncate on a char boundary so the wire always carries valid
-    // UTF-8 (details are human-readable diagnostics; losing a tail is
-    // fine, sending invalid UTF-8 is not).
-    let mut end = take;
+/// The bytes of `s` that go on the wire: at most [`MAX_DETAIL`], cut on
+/// a char boundary so the wire always carries valid UTF-8 (details are
+/// human-readable diagnostics; losing a tail is fine, sending invalid
+/// UTF-8 is not).
+fn detail_bytes(s: &str) -> &[u8] {
+    let mut end = s.len().min(MAX_DETAIL as usize);
     while end > 0 && !s.is_char_boundary(end) {
         end -= 1;
     }
-    put_u32(out, end as u32);
-    out.extend_from_slice(&bytes[..end]);
+    &s.as_bytes()[..end]
+}
+
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    let bytes = detail_bytes(s);
+    put_u32(out, bytes.len() as u32);
+    out.extend_from_slice(bytes);
+}
+
+/// A length-prefixed `u32` list, copied in one pass.
+fn put_u32s(out: &mut Vec<u8>, values: &[u32]) {
+    put_u32(out, values.len() as u32);
+    let start = out.len();
+    out.resize(start + 4 * values.len(), 0);
+    for (dst, v) in out[start..].chunks_exact_mut(4).zip(values) {
+        dst.copy_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// `(samples, channels)` as the wire carries them. A window of
+/// zero-width samples carries no data; it is normalized to the empty
+/// window so the encoder never emits the `channels == 0 && samples > 0`
+/// shape the decoder rejects.
+fn window_shape(window: &[Vec<u16>]) -> (usize, usize) {
+    let channels = window.first().map_or(0, Vec::len);
+    let samples = if channels == 0 { 0 } else { window.len() };
+    (samples, channels)
 }
 
 fn put_window(out: &mut Vec<u8>, window: &[Vec<u16>]) {
-    let channels = window.first().map_or(0, Vec::len);
-    // A window of zero-width samples carries no data; normalize it to
-    // the empty window so the encoder never emits the
-    // `channels == 0 && samples > 0` shape the decoder rejects.
-    let samples = if channels == 0 { 0 } else { window.len() };
+    let (samples, channels) = window_shape(window);
     put_u32(out, samples as u32);
     put_u32(out, channels as u32);
-    for sample in &window[..samples] {
-        // Ragged windows are invalid inputs; pad/truncate to the first
-        // sample's width so the frame stays self-consistent and the
-        // backend's own validation reports the real problem.
-        for c in 0..channels {
-            put_u16(out, sample.get(c).copied().unwrap_or(0));
+    if samples == 0 {
+        return;
+    }
+    // Ragged windows are invalid inputs; pad (the zero fill) or truncate
+    // (the zip) each sample to the first sample's width so the frame
+    // stays self-consistent and the backend's own validation reports
+    // the real problem.
+    let start = out.len();
+    out.resize(start + 2 * samples * channels, 0);
+    for (dst, sample) in out[start..].chunks_exact_mut(2 * channels).zip(window) {
+        for (d, v) in dst.chunks_exact_mut(2).zip(sample) {
+            d.copy_from_slice(&v.to_le_bytes());
         }
     }
 }
@@ -328,15 +354,8 @@ fn put_verdict(out: &mut Vec<u8>, v: &Verdict) {
             put_u64(out, c.total);
         }
     }
-    put_u32(out, v.distances.len() as u32);
-    for &d in &v.distances {
-        put_u32(out, d);
-    }
-    let words = v.query.words();
-    put_u32(out, words.len() as u32);
-    for &w in words {
-        put_u32(out, w);
-    }
+    put_u32s(out, &v.distances);
+    put_u32s(out, v.query.words());
 }
 
 fn put_fault(out: &mut Vec<u8>, fault: &WireFault) {
@@ -374,93 +393,169 @@ fn put_stats(out: &mut Vec<u8>, s: &ServerStats) {
     put_u64(out, s.cache_evictions);
 }
 
+fn verdict_len(v: &Verdict) -> usize {
+    let cycles = if v.cycles.is_some() { 24 } else { 0 };
+    4 + 1 + 1 + cycles + 4 + 4 * v.distances.len() + 4 + 4 * v.query.words().len()
+}
+
+fn fault_len(fault: &WireFault) -> usize {
+    1 + 4 + detail_bytes(&fault.detail).len()
+}
+
+/// The full frame size (header included) [`encode_request`] produces.
+fn request_len(req: &Request) -> usize {
+    let window_len = |w: &[Vec<u16>]| {
+        let (samples, channels) = window_shape(w);
+        8 + 2 * samples * channels
+    };
+    HEADER_LEN
+        + match req {
+            Request::Classify { window, .. } => 8 + window_len(window),
+            Request::ClassifyBatch { windows, .. } => {
+                8 + 4 + windows.iter().map(|w| window_len(w)).sum::<usize>()
+            }
+            Request::Stats | Request::Health => 0,
+        }
+}
+
+/// The full frame size (header included) [`encode_response_into`]
+/// appends — what the server checks against its reply buffer's room.
+pub(crate) fn response_len(resp: &Response) -> usize {
+    HEADER_LEN
+        + match resp {
+            Response::Verdict(v) => verdict_len(v),
+            Response::VerdictBatch(items) => {
+                4 + items
+                    .iter()
+                    .map(|item| 1 + item.as_ref().map_or_else(fault_len, verdict_len))
+                    .sum::<usize>()
+            }
+            Response::Stats(s) => {
+                16 * 8 + 4 + 8 * s.shard_windows.len() + 4 + s.shard_healthy.len() + 3 * 8
+            }
+            Response::Health(h) => 1 + 4 + h.shard_healthy.len(),
+            Response::Error(fault) => fault_len(fault),
+        }
+}
+
+/// Appends a header whose length field is 0 until [`end_frame`]
+/// patches it; returns the frame's start offset.
+fn begin_frame(out: &mut Vec<u8>, kind: u8, id: u64) -> usize {
+    let start = out.len();
+    put_u32(out, MAGIC);
+    out.push(VERSION);
+    out.push(kind);
+    put_u16(out, 0);
+    put_u64(out, id);
+    put_u32(out, 0);
+    start
+}
+
+/// Patches the length field of the frame begun at `start` to the
+/// payload bytes written since.
+fn end_frame(out: &mut [u8], start: usize) {
+    let len = (out.len() - start - HEADER_LEN) as u32;
+    out[start + HEADER_LEN - 4..start + HEADER_LEN].copy_from_slice(&len.to_le_bytes());
+}
+
 /// Wraps `payload` in a frame header, producing the full wire bytes.
 #[must_use]
 pub fn frame(kind: u8, id: u64, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    put_u32(&mut out, MAGIC);
-    out.push(VERSION);
-    out.push(kind);
-    put_u16(&mut out, 0);
-    put_u64(&mut out, id);
-    put_u32(&mut out, payload.len() as u32);
+    let start = begin_frame(&mut out, kind, id);
     out.extend_from_slice(payload);
+    end_frame(&mut out, start);
     out
 }
 
 /// Encodes one request as a complete frame.
 #[must_use]
 pub fn encode_request(id: u64, req: &Request) -> Vec<u8> {
-    let mut payload = Vec::new();
+    let mut out = Vec::with_capacity(request_len(req));
     let kind = match req {
+        Request::Classify { .. } => kind::CLASSIFY,
+        Request::ClassifyBatch { .. } => kind::CLASSIFY_BATCH,
+        Request::Stats => kind::STATS,
+        Request::Health => kind::HEALTH,
+    };
+    let start = begin_frame(&mut out, kind, id);
+    match req {
         Request::Classify {
             deadline_us,
             window,
         } => {
-            put_u64(&mut payload, *deadline_us);
-            put_window(&mut payload, window);
-            kind::CLASSIFY
+            put_u64(&mut out, *deadline_us);
+            put_window(&mut out, window);
         }
         Request::ClassifyBatch {
             deadline_us,
             windows,
         } => {
-            put_u64(&mut payload, *deadline_us);
-            put_u32(&mut payload, windows.len() as u32);
+            put_u64(&mut out, *deadline_us);
+            put_u32(&mut out, windows.len() as u32);
             for w in windows {
-                put_window(&mut payload, w);
+                put_window(&mut out, w);
             }
-            kind::CLASSIFY_BATCH
         }
-        Request::Stats => kind::STATS,
-        Request::Health => kind::HEALTH,
-    };
-    frame(kind, id, &payload)
+        Request::Stats | Request::Health => {}
+    }
+    end_frame(&mut out, start);
+    debug_assert_eq!(out.len(), request_len(req));
+    out
 }
 
 /// Encodes one response as a complete frame.
 #[must_use]
 pub fn encode_response(id: u64, resp: &Response) -> Vec<u8> {
-    let mut payload = Vec::new();
+    let mut out = Vec::new();
+    encode_response_into(&mut out, id, resp);
+    out
+}
+
+/// Appends one response frame to `out`, leaving the bytes already there
+/// untouched: the payload is written in place and the header's length
+/// field patched after it. The appended bytes are exactly
+/// [`encode_response`]'s. Reserves the frame's size first, so a buffer
+/// with that much room never reallocates.
+pub fn encode_response_into(out: &mut Vec<u8>, id: u64, resp: &Response) {
+    out.reserve(response_len(resp));
     let kind = match resp {
-        Response::Verdict(v) => {
-            put_verdict(&mut payload, v);
-            kind::R_VERDICT
-        }
+        Response::Verdict(_) => kind::R_VERDICT,
+        Response::VerdictBatch(_) => kind::R_VERDICT_BATCH,
+        Response::Stats(_) => kind::R_STATS,
+        Response::Health(_) => kind::R_HEALTH,
+        Response::Error(_) => kind::R_ERROR,
+    };
+    let start = begin_frame(out, kind, id);
+    match resp {
+        Response::Verdict(v) => put_verdict(out, v),
         Response::VerdictBatch(items) => {
-            put_u32(&mut payload, items.len() as u32);
+            put_u32(out, items.len() as u32);
             for item in items {
                 match item {
                     Ok(v) => {
-                        payload.push(1);
-                        put_verdict(&mut payload, v);
+                        out.push(1);
+                        put_verdict(out, v);
                     }
                     Err(fault) => {
-                        payload.push(0);
-                        put_fault(&mut payload, fault);
+                        out.push(0);
+                        put_fault(out, fault);
                     }
                 }
             }
-            kind::R_VERDICT_BATCH
         }
-        Response::Stats(s) => {
-            put_stats(&mut payload, s);
-            kind::R_STATS
-        }
+        Response::Stats(s) => put_stats(out, s),
         Response::Health(h) => {
-            payload.push(u8::from(h.serving));
-            put_u32(&mut payload, h.shard_healthy.len() as u32);
+            out.push(u8::from(h.serving));
+            put_u32(out, h.shard_healthy.len() as u32);
             for &b in &h.shard_healthy {
-                payload.push(u8::from(b));
+                out.push(u8::from(b));
             }
-            kind::R_HEALTH
         }
-        Response::Error(fault) => {
-            put_fault(&mut payload, fault);
-            kind::R_ERROR
-        }
-    };
-    frame(kind, id, &payload)
+        Response::Error(fault) => put_fault(out, fault),
+    }
+    end_frame(out, start);
+    debug_assert_eq!(out.len() - start, response_len(resp));
 }
 
 // ---------------------------------------------------------------------------
@@ -522,6 +617,19 @@ impl<'a> Cur<'a> {
 
     fn f64(&mut self) -> Result<f64, WireError> {
         Ok(f64::from_bits(self.u64()?))
+    }
+
+    /// Reads `n` little-endian `u32`s in one pass (callers bound `n`
+    /// with [`Cur::len`] first).
+    fn u32s(&mut self, n: usize) -> Result<Vec<u32>, WireError> {
+        let need = n
+            .checked_mul(4)
+            .ok_or(WireError::Malformed("u32 list overflow"))?;
+        Ok(self
+            .take(need)?
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+            .collect())
     }
 
     /// Reads a list length and checks it against both its cap and the
@@ -615,21 +723,19 @@ fn take_window(cur: &mut Cur<'_>) -> Result<Window, WireError> {
         .checked_mul(channels)
         .and_then(|n| n.checked_mul(2))
         .ok_or(WireError::Malformed("window size overflow"))?;
-    if cur.remaining() < need {
-        return Err(WireError::Truncated {
-            need,
-            have: cur.remaining(),
-        });
+    let bytes = cur.take(need)?;
+    if samples == 0 {
+        return Ok(Vec::new());
     }
-    let mut window = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let mut sample = Vec::with_capacity(channels);
-        for _ in 0..channels {
-            sample.push(cur.u16()?);
-        }
-        window.push(sample);
-    }
-    Ok(window)
+    Ok(bytes
+        .chunks_exact(2 * channels)
+        .map(|sample| {
+            sample
+                .chunks_exact(2)
+                .map(|c| u16::from_le_bytes([c[0], c[1]]))
+                .collect()
+        })
+        .collect())
 }
 
 fn take_fault(cur: &mut Cur<'_>) -> Result<WireFault, WireError> {
@@ -659,20 +765,14 @@ fn take_verdict(cur: &mut Cur<'_>) -> Result<Verdict, WireError> {
         _ => return Err(WireError::Malformed("bad cycles flag")),
     };
     let n = cur.len(MAX_VEC, 4, "distance count over cap")?;
-    let mut distances = Vec::with_capacity(n);
-    for _ in 0..n {
-        distances.push(cur.u32()?);
-    }
+    let distances = cur.u32s(n)?;
     let n = cur.len(MAX_VEC, 4, "query word count over cap")?;
     if n == 0 {
         // `BinaryHv` requires at least one word; a zero here is a
         // corrupt frame, not a verdict.
         return Err(WireError::Malformed("empty query hypervector"));
     }
-    let mut words = Vec::with_capacity(n);
-    for _ in 0..n {
-        words.push(cur.u32()?);
-    }
+    let words = cur.u32s(n)?;
     Ok(Verdict {
         class,
         distances,

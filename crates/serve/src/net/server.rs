@@ -1,9 +1,32 @@
 //! The listener side of the wire front-end: accept loops, and one
 //! reader + one responder thread per connection feeding the in-process
 //! [`Server`](crate::Server)'s micro-batcher.
+//!
+//! Socket I/O is batched per connection, so a peer that keeps several
+//! requests in flight pays one system call per *burst*, not per frame:
+//!
+//! - **Reader.** One 4 KiB receive buffer (`RECV_BUF`). One `read` takes
+//!   whatever the peer has queued, and every complete frame in the
+//!   buffer is decoded from a slice of it before the next `read`. The
+//!   buffer grows only to hold a single larger frame — by doubling as
+//!   its bytes arrive, never past its declared length — and shrinks
+//!   back once that frame is consumed, so receive memory follows the
+//!   bytes received, not the lengths claimed.
+//! - **Responder.** One 8 KiB reply buffer (`REPLY_BUF`). It blocks on
+//!   the oldest reply, then encodes in place every later reply already
+//!   answered, and sends them in one `write_all`. Replies leave in
+//!   request order: the first one not yet answered is kept and waited
+//!   on next; gathering never waits for it.
+//! - **Timeouts.** Idle time between frames is unlimited (a draining
+//!   server sends its go-away then); with part of a frame buffered, more
+//!   than [`NetConfig::read_timeout`] without a new byte is a slow-loris
+//!   kill, even when the same `read` delivered complete frames first.
+//!   The in-flight window admits each request frame on its own, and
+//!   [`NetStats::responses`] counts frames, not writes.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener};
+use std::ops::{ControlFlow, Range};
 use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -14,7 +37,7 @@ use std::time::{Duration, Instant};
 
 use pulp_hd_core::backend::Verdict;
 
-use crate::{ServeError, Server, ServerStats, Ticket, TrySubmitError};
+use crate::{Client, ServeError, Server, ServerStats, Ticket, TrySubmitError};
 
 use super::proto::{self, ErrorCode, FrameHeader, HealthReport, WireError, WireFault};
 use super::transport::WireStream;
@@ -23,6 +46,15 @@ use super::{NetConfig, NetError};
 /// How often blocked accept/read loops wake to re-check the draining
 /// flag and the connection-dead flag.
 const POLL_TICK: Duration = Duration::from_millis(5);
+
+/// A connection's receive buffer: one `read` takes up to this much of
+/// whatever the peer has queued (about 50 five-sample `Classify`
+/// frames). It grows past this only to hold one larger frame.
+const RECV_BUF: usize = 4 * 1024;
+
+/// A connection's reply buffer: one `write_all` carries up to this much
+/// of the replies already answered (six 313-word verdict frames).
+const REPLY_BUF: usize = 8 * 1024;
 
 /// An address to serve on.
 #[derive(Debug, Clone)]
@@ -431,6 +463,14 @@ enum Reply {
     },
 }
 
+/// A typed fault frame; id 0 is the connection-level go-away.
+fn fault_frame(id: u64, code: ErrorCode, detail: impl Into<String>) -> Reply {
+    Reply::Frame(proto::encode_response(
+        id,
+        &proto::Response::Error(WireFault::new(code, detail)),
+    ))
+}
+
 fn connection(
     stream: Box<dyn WireStream>,
     server: &Arc<Server>,
@@ -480,122 +520,93 @@ fn connection(
         return;
     };
     let mut stream = stream;
-    reader_loop(
-        stream.as_mut(),
+    let admission = Admission {
         server,
+        client: server.client(),
         shared,
         config,
-        &tx,
-        &inflight,
-        &conn_dead,
-    );
+        inflight: &inflight,
+    };
+    reader_loop(stream.as_mut(), &admission, &tx, &conn_dead);
     drop(tx);
     let _ = responder.join();
     stream.shutdown_stream();
 }
 
-/// One complete frame read, or the reason there is none.
-enum ReadOutcome {
-    Frame(FrameHeader, Vec<u8>),
-    /// Clean EOF between frames.
-    Eof,
-    /// The server started draining while this connection was idle.
-    Draining,
-    /// Mid-frame stall past the read timeout.
-    Stalled,
-    /// Header or length failed to decode (resync is impossible).
-    Malformed(WireError),
-    /// Transport failure or peer vanished mid-frame.
-    Dead,
+/// A connection's receive buffer: `buf[start..end]` holds bytes read
+/// but not yet consumed as frames.
+struct RecvBuf {
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
 }
 
-fn read_frame(
-    stream: &mut dyn WireStream,
-    config: &NetConfig,
-    shared: &NetShared,
-    conn_dead: &AtomicBool,
-) -> ReadOutcome {
-    let mut header_buf = [0u8; proto::HEADER_LEN];
-    match read_exact_patient(stream, &mut header_buf, true, config, shared, conn_dead) {
-        ReadFill::Done => {}
-        ReadFill::Eof => return ReadOutcome::Eof,
-        ReadFill::Draining => return ReadOutcome::Draining,
-        ReadFill::Stalled => return ReadOutcome::Stalled,
-        ReadFill::Dead => return ReadOutcome::Dead,
-    }
-    let header = match proto::decode_header(&header_buf, config.max_frame) {
-        Ok(h) => h,
-        Err(e) => return ReadOutcome::Malformed(e),
-    };
-    let mut payload = vec![0u8; header.len as usize];
-    match read_exact_patient(stream, &mut payload, false, config, shared, conn_dead) {
-        ReadFill::Done => ReadOutcome::Frame(header, payload),
-        ReadFill::Eof | ReadFill::Dead => ReadOutcome::Dead,
-        ReadFill::Draining => ReadOutcome::Draining,
-        ReadFill::Stalled => ReadOutcome::Stalled,
-    }
+/// What the front of a [`RecvBuf`] holds.
+enum Buffered {
+    /// A complete frame, now consumed: its header and the buffer range
+    /// of its payload (valid until the next read).
+    Frame(FrameHeader, Range<usize>),
+    /// Part of a frame this many bytes long, header included
+    /// (`HEADER_LEN` while the header itself is incomplete).
+    Partial(usize),
+    /// Nothing: the connection is between frames.
+    Empty,
 }
 
-enum ReadFill {
-    Done,
-    Eof,
-    Draining,
-    Stalled,
-    Dead,
-}
-
-/// Fills `buf` from the stream in poll-tick slices. While no byte has
-/// arrived and `idle_ok` holds (between frames), waiting is unlimited
-/// but the draining flag is honored; once mid-structure, the stall
-/// clock runs: more than `config.read_timeout` without progress is a
-/// slow-loris kill.
-fn read_exact_patient(
-    stream: &mut dyn WireStream,
-    buf: &mut [u8],
-    idle_ok: bool,
-    config: &NetConfig,
-    shared: &NetShared,
-    conn_dead: &AtomicBool,
-) -> ReadFill {
-    if buf.is_empty() {
-        return ReadFill::Done;
-    }
-    let mut filled = 0;
-    let mut last_progress = Instant::now();
-    loop {
-        if conn_dead.load(Ordering::SeqCst) {
-            return ReadFill::Dead;
+impl RecvBuf {
+    fn new() -> Self {
+        Self {
+            buf: vec![0; RECV_BUF],
+            start: 0,
+            end: 0,
         }
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return if filled == 0 {
-                    ReadFill::Eof
-                } else {
-                    ReadFill::Dead
-                };
-            }
-            Ok(n) => {
-                filled += n;
-                last_progress = Instant::now();
-                if filled == buf.len() {
-                    return ReadFill::Done;
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if filled == 0 && idle_ok {
-                    if shared.draining.load(Ordering::SeqCst) {
-                        return ReadFill::Draining;
-                    }
-                } else if last_progress.elapsed() > config.read_timeout {
-                    return ReadFill::Stalled;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return ReadFill::Dead,
+    }
+
+    /// Takes the next complete frame off the front, if there is one.
+    fn next_frame(&mut self, max_frame: u32) -> Result<Buffered, WireError> {
+        let pending = &self.buf[self.start..self.end];
+        if pending.is_empty() {
+            return Ok(Buffered::Empty);
         }
+        if pending.len() < proto::HEADER_LEN {
+            return Ok(Buffered::Partial(proto::HEADER_LEN));
+        }
+        let header = proto::decode_header(pending, max_frame)?;
+        let need = proto::HEADER_LEN + header.len as usize;
+        if pending.len() < need {
+            return Ok(Buffered::Partial(need));
+        }
+        let payload = self.start + proto::HEADER_LEN..self.start + need;
+        self.start += need;
+        Ok(Buffered::Frame(header, payload))
+    }
+
+    /// The free tail to read into, after making room for the frame
+    /// being assembled (`need` bytes in total, 0 between frames). Never
+    /// empty, so a `read` into it returning 0 always means end of
+    /// stream.
+    fn spare(&mut self, need: usize) -> &mut [u8] {
+        // A frame larger than `RECV_BUF` was consumed: give its memory
+        // back.
+        let shrink = self.buf.len() > RECV_BUF && need <= RECV_BUF;
+        if self.start > 0
+            && (self.start == self.end || shrink || self.start + need > self.buf.len())
+        {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        if shrink {
+            self.buf.truncate(RECV_BUF);
+            self.buf.shrink_to_fit();
+        } else if self.end == self.buf.len() {
+            // Full, and the frame is larger than the buffer: double, as
+            // bytes arrive, never past the frame's declared size (which
+            // `decode_header` capped at `max_frame`).
+            let grown = (2 * self.buf.len()).min(need);
+            self.buf.resize(grown, 0);
+        }
+        &mut self.buf[self.end..]
     }
 }
 
@@ -609,69 +620,129 @@ fn wire_deadline(deadline_us: u64, config: &NetConfig) -> Option<Duration> {
     }
 }
 
-#[allow(clippy::too_many_lines)]
+/// Reads frames until the peer leaves, stalls, sends garbage, or the
+/// server drains. Each `read` takes whatever the peer has queued, and
+/// every complete frame in the buffer is answered before the next one.
 fn reader_loop(
     stream: &mut dyn WireStream,
-    server: &Arc<Server>,
-    shared: &Arc<NetShared>,
-    config: &NetConfig,
+    admission: &Admission<'_>,
     tx: &SyncSender<Reply>,
-    inflight: &Arc<AtomicUsize>,
-    conn_dead: &Arc<AtomicBool>,
+    conn_dead: &AtomicBool,
 ) {
-    let client = server.client();
-    let overload = |id: u64, detail: &str| {
-        // ORDERING: Relaxed telemetry counter (see NetShared).
-        shared.overloaded.fetch_add(1, Ordering::Relaxed);
-        Reply::Frame(proto::encode_response(
-            id,
-            &proto::Response::Error(WireFault::new(ErrorCode::Overloaded, detail)),
-        ))
-    };
+    let Admission { shared, config, .. } = *admission;
+    let mut recv = RecvBuf::new();
     loop {
-        let (header, payload) = match read_frame(stream, config, shared, conn_dead) {
-            ReadOutcome::Frame(header, payload) => (header, payload),
-            ReadOutcome::Eof | ReadOutcome::Dead => return,
-            ReadOutcome::Draining => {
-                let _ = tx.send(Reply::Frame(proto::encode_response(
-                    0,
-                    &proto::Response::Error(WireFault::new(
-                        ErrorCode::Closed,
-                        "server is draining",
-                    )),
-                )));
-                return;
-            }
-            ReadOutcome::Stalled => {
-                // ORDERING: Relaxed telemetry counter.
-                shared.stalled.fetch_add(1, Ordering::Relaxed);
-                let _ = tx.send(Reply::Frame(proto::encode_response(
-                    0,
-                    &proto::Response::Error(WireFault::new(
-                        ErrorCode::Stalled,
-                        "stalled mid-frame past the read timeout",
-                    )),
-                )));
-                return;
-            }
-            ReadOutcome::Malformed(e) => {
-                // ORDERING: Relaxed telemetry counter.
-                shared.malformed.fetch_add(1, Ordering::Relaxed);
-                let code = if matches!(e, WireError::TooLarge { .. }) {
-                    ErrorCode::TooLarge
-                } else {
-                    ErrorCode::Malformed
-                };
-                let _ = tx.send(Reply::Frame(proto::encode_response(
-                    0,
-                    &proto::Response::Error(WireFault::new(code, e.to_string())),
-                )));
-                return;
+        let need = loop {
+            match recv.next_frame(config.max_frame) {
+                Ok(Buffered::Frame(header, payload)) => {
+                    if conn_dead.load(Ordering::SeqCst) {
+                        return;
+                    }
+                    // ORDERING: Relaxed telemetry counter.
+                    shared.frames.fetch_add(1, Ordering::Relaxed);
+                    match admission.admit(&header, &recv.buf[payload]) {
+                        ControlFlow::Continue(reply) => {
+                            if tx.send(reply).is_err() {
+                                // Responder gone (write failure): nothing
+                                // to answer to.
+                                return;
+                            }
+                        }
+                        ControlFlow::Break(last) => {
+                            let _ = tx.send(last);
+                            return;
+                        }
+                    }
+                }
+                Ok(Buffered::Partial(need)) => break need,
+                Ok(Buffered::Empty) => break 0,
+                Err(e) => {
+                    // Header or length failed to decode: resync is
+                    // impossible.
+                    // ORDERING: Relaxed telemetry counter.
+                    shared.malformed.fetch_add(1, Ordering::Relaxed);
+                    let code = if matches!(e, WireError::TooLarge { .. }) {
+                        ErrorCode::TooLarge
+                    } else {
+                        ErrorCode::Malformed
+                    };
+                    let _ = tx.send(fault_frame(0, code, e.to_string()));
+                    return;
+                }
             }
         };
-        // ORDERING: Relaxed telemetry counter.
-        shared.frames.fetch_add(1, Ordering::Relaxed);
-        let request = match proto::decode_request(&header, &payload) {
+        // Wait for more bytes in poll-tick slices. Between frames the
+        // wait is unlimited but the draining flag is honored; with part
+        // of a frame buffered the stall clock runs: more than
+        // `read_timeout` without a byte is a slow-loris kill.
+        let waiting_since = Instant::now();
+        loop {
+            if conn_dead.load(Ordering::SeqCst) {
+                return;
+            }
+            match stream.read(recv.spare(need)) {
+                // End of stream, between frames or mid-frame.
+                Ok(0) => return,
+                Ok(n) => {
+                    recv.end += n;
+                    break;
+                }
+                Err(e)
+                    if e.kind() == std::io::ErrorKind::WouldBlock
+                        || e.kind() == std::io::ErrorKind::TimedOut =>
+                {
+                    if need == 0 {
+                        if shared.draining.load(Ordering::SeqCst) {
+                            let _ =
+                                tx.send(fault_frame(0, ErrorCode::Closed, "server is draining"));
+                            return;
+                        }
+                    } else if waiting_since.elapsed() > config.read_timeout {
+                        // ORDERING: Relaxed telemetry counter.
+                        shared.stalled.fetch_add(1, Ordering::Relaxed);
+                        let _ = tx.send(fault_frame(
+                            0,
+                            ErrorCode::Stalled,
+                            "stalled mid-frame past the read timeout",
+                        ));
+                        return;
+                    }
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => return,
+            }
+        }
+    }
+}
+
+/// What a connection's reader needs to turn request frames into
+/// replies.
+struct Admission<'a> {
+    server: &'a Server,
+    client: Client,
+    shared: &'a NetShared,
+    config: &'a NetConfig,
+    inflight: &'a AtomicUsize,
+}
+
+impl Admission<'_> {
+    fn overload(&self, id: u64, detail: &str) -> Reply {
+        // ORDERING: Relaxed telemetry counter (see NetShared).
+        self.shared.overloaded.fetch_add(1, Ordering::Relaxed);
+        fault_frame(id, ErrorCode::Overloaded, detail)
+    }
+
+    /// Decodes one request and submits it: the reply to queue, or the
+    /// last one before the connection closes.
+    fn admit(&self, header: &FrameHeader, payload: &[u8]) -> ControlFlow<Reply, Reply> {
+        let Self {
+            server,
+            client,
+            shared,
+            config,
+            inflight,
+        } = self;
+        let request = match proto::decode_request(header, payload) {
             Ok(request) => request,
             Err(e) => {
                 // The frame boundary was intact, but the payload is
@@ -680,47 +751,47 @@ fn reader_loop(
                 // trusted to stay in sync).
                 // ORDERING: Relaxed telemetry counter.
                 shared.malformed.fetch_add(1, Ordering::Relaxed);
-                let _ = tx.send(Reply::Frame(proto::encode_response(
+                return ControlFlow::Break(fault_frame(
                     header.id,
-                    &proto::Response::Error(WireFault::new(ErrorCode::Malformed, e.to_string())),
-                )));
-                return;
+                    ErrorCode::Malformed,
+                    e.to_string(),
+                ));
             }
         };
-        let reply = match request {
+        ControlFlow::Continue(match request {
             proto::Request::Classify {
                 deadline_us,
                 window,
             } => {
                 if inflight.load(Ordering::SeqCst) >= config.inflight_window {
-                    overload(header.id, "connection in-flight window full")
-                } else {
-                    let deadline = wire_deadline(deadline_us, config);
-                    match client.try_submit_with_deadline(window, deadline) {
-                        Ok(ticket) => {
-                            // ORDERING: SeqCst — `inflight` is a
-                            // reader-side admission bound decremented on
-                            // the responder thread; the check-then-add
-                            // here must stay ordered against those subs
-                            // so the window cannot be overshot.
-                            inflight.fetch_add(1, Ordering::SeqCst);
-                            Reply::Wait {
-                                id: header.id,
-                                ticket,
-                                deadline: deadline.map(|d| Instant::now() + d),
-                            }
+                    return ControlFlow::Continue(
+                        self.overload(header.id, "connection in-flight window full"),
+                    );
+                }
+                let deadline = wire_deadline(deadline_us, config);
+                match client.try_submit_with_deadline(window, deadline) {
+                    Ok(ticket) => {
+                        // ORDERING: SeqCst — `inflight` is a reader-side
+                        // admission bound decremented on the responder
+                        // thread; the check-then-add here must stay
+                        // ordered against those subs so the window
+                        // cannot be overshot.
+                        inflight.fetch_add(1, Ordering::SeqCst);
+                        Reply::Wait {
+                            id: header.id,
+                            ticket,
+                            deadline: deadline.map(|d| Instant::now() + d),
                         }
-                        Err(TrySubmitError::Overloaded) => overload(header.id, "server queue full"),
-                        Err(TrySubmitError::Closed) => {
-                            let _ = tx.send(Reply::Frame(proto::encode_response(
-                                header.id,
-                                &proto::Response::Error(WireFault::new(
-                                    ErrorCode::Closed,
-                                    "server is shut down",
-                                )),
-                            )));
-                            return;
-                        }
+                    }
+                    Err(TrySubmitError::Overloaded) => {
+                        self.overload(header.id, "server queue full")
+                    }
+                    Err(TrySubmitError::Closed) => {
+                        return ControlFlow::Break(fault_frame(
+                            header.id,
+                            ErrorCode::Closed,
+                            "server is shut down",
+                        ));
                     }
                 }
             }
@@ -733,40 +804,41 @@ fn reader_loop(
                     .inflight_window
                     .saturating_sub(inflight.load(Ordering::SeqCst));
                 if windows.len() > room {
-                    overload(header.id, "batch exceeds connection in-flight window")
-                } else {
-                    let mut items = Vec::with_capacity(windows.len());
-                    let mut accepted = 0usize;
-                    for window in windows {
-                        match client.try_submit_with_deadline(window, deadline) {
-                            Ok(ticket) => {
-                                accepted += 1;
-                                items.push(Ok(ticket));
-                            }
-                            Err(TrySubmitError::Overloaded) => {
-                                // ORDERING: Relaxed telemetry counter.
-                                shared.overloaded.fetch_add(1, Ordering::Relaxed);
-                                items.push(Err(WireFault::new(
-                                    ErrorCode::Overloaded,
-                                    "server queue full",
-                                )));
-                            }
-                            Err(TrySubmitError::Closed) => {
-                                items.push(Err(WireFault::new(
-                                    ErrorCode::Closed,
-                                    "server is shut down",
-                                )));
-                            }
+                    return ControlFlow::Continue(
+                        self.overload(header.id, "batch exceeds connection in-flight window"),
+                    );
+                }
+                let mut items = Vec::with_capacity(windows.len());
+                let mut accepted = 0usize;
+                for window in windows {
+                    match client.try_submit_with_deadline(window, deadline) {
+                        Ok(ticket) => {
+                            accepted += 1;
+                            items.push(Ok(ticket));
+                        }
+                        Err(TrySubmitError::Overloaded) => {
+                            // ORDERING: Relaxed telemetry counter.
+                            shared.overloaded.fetch_add(1, Ordering::Relaxed);
+                            items.push(Err(WireFault::new(
+                                ErrorCode::Overloaded,
+                                "server queue full",
+                            )));
+                        }
+                        Err(TrySubmitError::Closed) => {
+                            items.push(Err(WireFault::new(
+                                ErrorCode::Closed,
+                                "server is shut down",
+                            )));
                         }
                     }
-                    // ORDERING: SeqCst `inflight` protocol, as in the
-                    // single-window path above.
-                    inflight.fetch_add(accepted, Ordering::SeqCst);
-                    Reply::WaitBatch {
-                        id: header.id,
-                        items,
-                        deadline: deadline.map(|d| Instant::now() + d),
-                    }
+                }
+                // ORDERING: SeqCst `inflight` protocol, as in the
+                // single-window path above.
+                inflight.fetch_add(accepted, Ordering::SeqCst);
+                Reply::WaitBatch {
+                    id: header.id,
+                    items,
+                    deadline: deadline.map(|d| Instant::now() + d),
                 }
             }
             proto::Request::Stats => Reply::Frame(proto::encode_response(
@@ -783,11 +855,7 @@ fn reader_loop(
                     &proto::Response::Health(report),
                 ))
             }
-        };
-        if tx.send(reply).is_err() {
-            // Responder gone (write failure): nothing to answer to.
-            return;
-        }
+        })
     }
 }
 
@@ -834,61 +902,137 @@ fn fault_of(e: &ServeError) -> WireFault {
     }
 }
 
-fn responder_loop(
-    mut writer: Box<dyn WireStream>,
-    rx: &Receiver<Reply>,
-    inflight: &AtomicUsize,
-    conn_dead: &AtomicBool,
-    shared: &NetShared,
-) {
-    // After a write failure the responder keeps draining (and resolving
-    // tickets, keeping `inflight` accurate) but stops writing.
-    let mut write_ok = true;
-    for reply in rx.iter() {
-        let frame = match reply {
-            Reply::Frame(frame) => frame,
-            Reply::Wait {
+/// A reply ready to go on the wire.
+enum Answer {
+    Frame(Vec<u8>),
+    Response(u64, proto::Response),
+}
+
+fn verdict_answer(id: u64, result: Result<Verdict, WireFault>) -> Answer {
+    Answer::Response(
+        id,
+        match result {
+            Ok(verdict) => proto::Response::Verdict(verdict),
+            Err(fault) => proto::Response::Error(fault),
+        },
+    )
+}
+
+/// Blocks until `reply` is answered.
+fn resolve(reply: Reply, inflight: &AtomicUsize) -> Answer {
+    match reply {
+        Reply::Frame(frame) => Answer::Frame(frame),
+        Reply::Wait {
+            id,
+            ticket,
+            deadline,
+        } => {
+            let result = wait_result(ticket, deadline);
+            // ORDERING: SeqCst — the release half of the `inflight`
+            // admission protocol (reader adds, responder subs).
+            inflight.fetch_sub(1, Ordering::SeqCst);
+            verdict_answer(id, result)
+        }
+        Reply::WaitBatch {
+            id,
+            items,
+            deadline,
+        } => {
+            let results = items
+                .into_iter()
+                .map(|item| match item {
+                    Ok(ticket) => {
+                        let result = wait_result(ticket, deadline);
+                        // ORDERING: SeqCst `inflight` protocol.
+                        inflight.fetch_sub(1, Ordering::SeqCst);
+                        result
+                    }
+                    Err(fault) => Err(fault),
+                })
+                .collect();
+            Answer::Response(id, proto::Response::VerdictBatch(results))
+        }
+    }
+}
+
+/// `reply`'s answer if it is already known, without blocking; the
+/// reply back otherwise. A batch is never peeked: it waits its turn as
+/// the oldest reply of a later write.
+fn try_resolve(reply: Reply, inflight: &AtomicUsize) -> Result<Answer, Reply> {
+    match reply {
+        Reply::Frame(frame) => Ok(Answer::Frame(frame)),
+        Reply::Wait {
+            id,
+            ticket,
+            deadline,
+        } => match ticket.try_wait() {
+            Ok(result) => {
+                // ORDERING: SeqCst `inflight` protocol.
+                inflight.fetch_sub(1, Ordering::SeqCst);
+                Ok(verdict_answer(id, result.map_err(|e| fault_of(&e))))
+            }
+            Err(ticket) => Err(Reply::Wait {
                 id,
                 ticket,
                 deadline,
-            } => {
-                let result = wait_result(ticket, deadline);
-                // ORDERING: SeqCst — the release half of the `inflight`
-                // admission protocol (reader adds, responder subs).
-                inflight.fetch_sub(1, Ordering::SeqCst);
-                match result {
-                    Ok(verdict) => proto::encode_response(id, &proto::Response::Verdict(verdict)),
-                    Err(fault) => proto::encode_response(id, &proto::Response::Error(fault)),
-                }
-            }
-            Reply::WaitBatch {
-                id,
-                items,
-                deadline,
-            } => {
-                let results: Vec<Result<Verdict, WireFault>> = items
-                    .into_iter()
-                    .map(|item| match item {
-                        Ok(ticket) => {
-                            let result = wait_result(ticket, deadline);
-                            // ORDERING: SeqCst `inflight` protocol.
-                            inflight.fetch_sub(1, Ordering::SeqCst);
-                            result
-                        }
-                        Err(fault) => Err(fault),
-                    })
-                    .collect();
-                proto::encode_response(id, &proto::Response::VerdictBatch(results))
-            }
+            }),
+        },
+        batch @ Reply::WaitBatch { .. } => Err(batch),
+    }
+}
+
+/// The responder's side of a connection: answered replies are encoded
+/// in place into one buffer and leave in one `write_all`.
+struct ReplyWriter<'a> {
+    writer: Box<dyn WireStream>,
+    buf: Vec<u8>,
+    /// Frames in `buf`.
+    frames: u64,
+    /// Cleared by the first write failure; later answers are dropped.
+    ok: bool,
+    conn_dead: &'a AtomicBool,
+    shared: &'a NetShared,
+}
+
+impl ReplyWriter<'_> {
+    /// Appends `answer`, sending what is buffered first if it would
+    /// not fit. A single frame larger than `REPLY_BUF` goes out alone.
+    fn push(&mut self, answer: Answer) {
+        let len = match &answer {
+            Answer::Frame(frame) => frame.len(),
+            Answer::Response(_, response) => proto::response_len(response),
         };
-        if write_ok {
-            write_ok = writer
-                .write_all(&frame)
-                .and_then(|()| writer.flush())
+        if self.buf.len() + len > REPLY_BUF {
+            self.send();
+        }
+        if !self.ok {
+            return;
+        }
+        match answer {
+            Answer::Frame(frame) => self.buf.extend_from_slice(&frame),
+            Answer::Response(id, response) => {
+                proto::encode_response_into(&mut self.buf, id, &response);
+            }
+        }
+        self.frames += 1;
+    }
+
+    fn send(&mut self) {
+        if self.buf.is_empty() {
+            return;
+        }
+        if self.ok {
+            self.ok = self
+                .writer
+                .write_all(&self.buf)
+                .and_then(|()| self.writer.flush())
                 .is_ok();
-            if write_ok {
-                // ORDERING: Relaxed telemetry counter.
-                shared.responses.fetch_add(1, Ordering::Relaxed);
+            if self.ok {
+                // ORDERING: Relaxed telemetry counter (frames, not
+                // writes).
+                self.shared
+                    .responses
+                    .fetch_add(self.frames, Ordering::Relaxed);
             } else {
                 // Wake the reader (it is blocked in poll-tick reads) so
                 // the connection winds down instead of reading requests
@@ -896,9 +1040,48 @@ fn responder_loop(
                 // ORDERING: SeqCst kill flag — must become visible to
                 // the reader's SeqCst poll before it commits to another
                 // blocking read tick.
-                conn_dead.store(true, Ordering::SeqCst);
+                self.conn_dead.store(true, Ordering::SeqCst);
             }
         }
+        self.buf.clear();
+        self.buf.shrink_to(REPLY_BUF);
+        self.frames = 0;
     }
-    writer.shutdown_stream();
+}
+
+fn responder_loop(
+    writer: Box<dyn WireStream>,
+    rx: &Receiver<Reply>,
+    inflight: &AtomicUsize,
+    conn_dead: &AtomicBool,
+    shared: &NetShared,
+) {
+    // After a write failure the responder keeps draining (and resolving
+    // tickets, keeping `inflight` accurate) but stops writing.
+    let mut out = ReplyWriter {
+        writer,
+        buf: Vec::with_capacity(REPLY_BUF),
+        frames: 0,
+        ok: true,
+        conn_dead,
+        shared,
+    };
+    let mut unanswered = None;
+    while let Some(oldest) = unanswered.take().or_else(|| rx.recv().ok()) {
+        // Block on the oldest reply, then gather every later reply that
+        // is already answered, stopping at the first that is not (it is
+        // the next write's oldest).
+        out.push(resolve(oldest, inflight));
+        while let Ok(reply) = rx.try_recv() {
+            match try_resolve(reply, inflight) {
+                Ok(answer) => out.push(answer),
+                Err(reply) => {
+                    unanswered = Some(reply);
+                    break;
+                }
+            }
+        }
+        out.send();
+    }
+    out.writer.shutdown_stream();
 }

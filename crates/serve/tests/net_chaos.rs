@@ -277,6 +277,98 @@ fn stalls_are_killed_within_the_read_timeout() {
     assert_eq!(net_stats.active, 0);
 }
 
+/// A stall that follows complete frames: one `write` carries three
+/// complete `Classify` frames plus a fourth frame's header and half its
+/// payload, then the peer holds the socket open. The three verdicts
+/// come back first, bit-identical; then the partial frame runs the
+/// stall clock and the typed `Stalled` go-away (id 0) follows within
+/// the read timeout plus poll slack — never sooner than the timeout.
+#[test]
+#[cfg_attr(miri, ignore = "real sockets")]
+fn stall_after_complete_frames_answers_them_first() {
+    use pulp_hd_serve::net::proto::{self, Request, Response};
+    use pulp_hd_serve::net::ErrorCode;
+    use std::io::{Read, Write};
+
+    let params = params();
+    let model = HdModel::random(&params, 0xC40A);
+    let windows = random_windows(&params, 3, 4, 0x900A);
+    let expected = golden_verdicts(&model, &windows);
+
+    let read_timeout = Duration::from_millis(150);
+    let net = spawn_tcp(
+        &model,
+        NetConfig {
+            read_timeout,
+            ..NetConfig::default()
+        },
+    );
+    let mut peer = TcpStream::connect(net.tcp_addr().unwrap()).unwrap();
+    peer.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let frame = |i: usize| {
+        proto::encode_request(
+            i as u64 + 1,
+            &Request::Classify {
+                deadline_us: 0,
+                window: windows[i].clone(),
+            },
+        )
+    };
+    let mut bytes: Vec<u8> = (0..3).flat_map(frame).collect();
+    let fourth = frame(3);
+    let cut = proto::HEADER_LEN + (fourth.len() - proto::HEADER_LEN) / 2;
+    bytes.extend_from_slice(&fourth[..cut]);
+    let sent = Instant::now();
+    peer.write_all(&bytes).unwrap();
+
+    let mut read_response = || {
+        let mut header = [0u8; proto::HEADER_LEN];
+        peer.read_exact(&mut header).unwrap();
+        let header = proto::decode_header(&header, proto::DEFAULT_MAX_FRAME).unwrap();
+        let mut payload = vec![0u8; header.len as usize];
+        peer.read_exact(&mut payload).unwrap();
+        (
+            header.id,
+            proto::decode_response(&header, &payload).unwrap(),
+        )
+    };
+    for (i, want) in expected.iter().enumerate().take(3) {
+        match read_response() {
+            (id, Response::Verdict(v)) => {
+                assert_eq!(id, i as u64 + 1);
+                assert_eq!(&v, want, "window {i}");
+            }
+            other => panic!("reply {i}: expected a verdict, got {other:?}"),
+        }
+    }
+    match read_response() {
+        (0, Response::Error(fault)) => assert_eq!(fault.code, ErrorCode::Stalled),
+        other => panic!("expected the Stalled go-away, got {other:?}"),
+    }
+    let waited = sent.elapsed();
+    assert!(waited >= read_timeout, "killed early, after {waited:?}");
+    assert!(
+        waited < read_timeout + Duration::from_secs(2),
+        "go-away took {waited:?}"
+    );
+
+    let reaped = Instant::now();
+    while net.net_stats().active > 0 {
+        assert!(
+            reaped.elapsed() < Duration::from_secs(5),
+            "stalled connection leaked"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    drop(peer);
+    let (_, net_stats) = net.shutdown();
+    assert_eq!(net_stats.stalled_kills, 1);
+    assert_eq!(net_stats.frames, 3);
+    assert_eq!(net_stats.responses, 4, "3 verdicts and the go-away");
+    assert_eq!(net_stats.active, 0);
+}
+
 /// A hung backend ([`FaultKind::Hang`]) cannot take the wire down: a
 /// request with a wire deadline comes back as a typed
 /// `DeadlineExceeded` within its budget, and once the hang releases the

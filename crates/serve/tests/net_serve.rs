@@ -416,3 +416,125 @@ fn inflight_window_sheds_with_typed_overload() {
     let (_, net_stats) = net.shutdown();
     assert!(net_stats.wire_overloaded >= 1);
 }
+
+/// Reads one response frame off a raw socket.
+fn read_response(reader: &mut impl Read) -> (u64, proto::Response) {
+    let mut header = [0u8; proto::HEADER_LEN];
+    reader.read_exact(&mut header).unwrap();
+    let header = proto::decode_header(&header, proto::DEFAULT_MAX_FRAME).unwrap();
+    let mut payload = vec![0u8; header.len as usize];
+    reader.read_exact(&mut payload).unwrap();
+    (
+        header.id,
+        proto::decode_response(&header, &payload).unwrap(),
+    )
+}
+
+/// Sends the three shapes the server's receive buffer must reassemble —
+/// `singles` `Classify` frames in one write, one `Classify` frame a byte
+/// at a time, and one `ClassifyBatch` frame larger than the 4 KiB buffer
+/// — and checks that every reply arrives in request order, carries its
+/// own id, and is bit-identical to golden. Returns the frames sent.
+fn pipeline_raw(
+    mut writer: impl Write + Send,
+    mut reader: impl Read,
+    windows: &[Vec<Vec<u16>>],
+    expected: &[Verdict],
+    singles: usize,
+) -> u64 {
+    let classify = |id: usize| {
+        proto::encode_request(
+            id as u64 + 1,
+            &proto::Request::Classify {
+                deadline_us: 0,
+                window: windows[id].clone(),
+            },
+        )
+    };
+    let batch = proto::encode_request(
+        singles as u64 + 2,
+        &proto::Request::ClassifyBatch {
+            deadline_us: 0,
+            windows: windows[singles + 1..].to_vec(),
+        },
+    );
+    assert!(
+        batch.len() > 4096,
+        "the batch frame must outgrow the buffer"
+    );
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let burst: Vec<u8> = (0..singles).flat_map(classify).collect();
+            writer.write_all(&burst).unwrap();
+            for byte in classify(singles) {
+                writer.write_all(&[byte]).unwrap();
+                writer.flush().unwrap();
+            }
+            writer.write_all(&batch).unwrap();
+        });
+        for (i, want) in expected.iter().enumerate().take(singles + 1) {
+            match read_response(&mut reader) {
+                (id, proto::Response::Verdict(v)) => {
+                    assert_eq!(id, i as u64 + 1, "reply {i} out of order");
+                    assert_eq!(&v, want, "window {i}");
+                }
+                other => panic!("reply {i}: expected a verdict, got {other:?}"),
+            }
+        }
+        match read_response(&mut reader) {
+            (id, proto::Response::VerdictBatch(items)) => {
+                assert_eq!(id, singles as u64 + 2);
+                assert_eq!(items.len(), windows.len() - singles - 1);
+                for (i, item) in items.into_iter().enumerate() {
+                    assert_eq!(item.unwrap(), expected[singles + 1 + i], "batch window {i}");
+                }
+            }
+            other => panic!("expected the batch reply, got {other:?}"),
+        }
+    });
+    singles as u64 + 2
+}
+
+/// Pipelined, split and oversized frames over raw UDS and TCP sockets:
+/// 200 `Classify` frames in one write, one frame trickled a byte at a
+/// time, one `ClassifyBatch` frame past 4 KiB. Every reply comes back
+/// in order and bit-identical, and the server counts exactly one frame
+/// in and one response out per request.
+#[test]
+#[cfg_attr(miri, ignore = "real sockets")]
+fn pipelined_split_and_oversized_frames_answer_in_order() {
+    const SINGLES: usize = 200;
+    let params = params();
+    let model = HdModel::random(&params, 0x4E82);
+    let windows = random_windows(&params, 5, SINGLES + 1 + 100, 0x99AD);
+    let expected = golden_verdicts(&model, &windows);
+    // Room for the whole burst and the 100-window batch in flight at
+    // once: the test pins reassembly, not admission.
+    let config = NetConfig {
+        inflight_window: 512,
+        ..NetConfig::default()
+    };
+    let serve = |endpoint: Endpoint| {
+        let backend = FastBackend::try_with_threads(1).unwrap();
+        let server = Server::spawn(&backend, &model, ServeConfig::default()).unwrap();
+        NetServer::spawn(server, &[endpoint], config.clone()).unwrap()
+    };
+
+    let path = uds_path("net-pipeline");
+    let net = serve(Endpoint::Uds(path.clone()));
+    let uds = std::os::unix::net::UnixStream::connect(&path).unwrap();
+    let sent = pipeline_raw(uds.try_clone().unwrap(), uds, &windows, &expected, SINGLES);
+    let (_, uds_stats) = net.shutdown();
+    assert_eq!(uds_stats.frames, sent);
+    assert_eq!(uds_stats.responses, sent);
+    assert_eq!(uds_stats.active, 0);
+
+    let net = serve(Endpoint::Tcp("127.0.0.1:0".into()));
+    let tcp = TcpStream::connect(net.tcp_addr().unwrap()).unwrap();
+    tcp.set_nodelay(true).unwrap();
+    let sent = pipeline_raw(tcp.try_clone().unwrap(), tcp, &windows, &expected, SINGLES);
+    let (_, tcp_stats) = net.shutdown();
+    assert_eq!(tcp_stats.frames, sent);
+    assert_eq!(tcp_stats.responses, sent);
+    assert_eq!(tcp_stats.active, 0);
+}

@@ -12,7 +12,7 @@ use hdc::rng::Xoshiro256PlusPlus;
 use pulp_hd_core::backend::{BinaryHv, CycleBreakdown, Verdict, VerdictSource};
 use pulp_hd_serve::net::proto::{
     self, decode_header, decode_request, decode_response, encode_request, encode_response,
-    FrameHeader, HealthReport, Request, Response, WireFault,
+    encode_response_into, FrameHeader, HealthReport, Request, Response, WireFault,
 };
 use pulp_hd_serve::net::ErrorCode;
 use pulp_hd_serve::ServerStats;
@@ -373,4 +373,74 @@ fn header_rejections_are_typed() {
         decode_header(&big, 16),
         Err(proto::WireError::TooLarge { .. })
     ));
+}
+
+/// A `Classify` request (a 3×4 window with a 250 ms deadline), as the
+/// wire carries it. Any change to these bytes is a protocol change.
+const GOLDEN_REQUEST: &str = concat!(
+    "4e484431010100000807060504030201280000",
+    "0090d003000000000003000000040000000100",
+    "03020504feff110000000010ffff2c012d012e012f01",
+);
+
+/// A `Verdict` response (5 distances, a 4-word query, cycle counts, an
+/// early-accept source), as the wire carries it.
+const GOLDEN_VERDICT: &str = concat!(
+    "4e4844310181000008070605040302014a0000",
+    "00030000000101d20400000000000037020000",
+    "0000000009070000000000000500000004100000",
+    "960f000094130000110000000010000004000000",
+    "efbeadde67452301efcdab8901000080",
+);
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// The wire format, byte for byte: the encoder — standalone and in
+/// place after other bytes — reproduces the committed golden frames,
+/// and they decode back to the values that produced them.
+#[test]
+fn encoder_reproduces_golden_bytes() {
+    const ID: u64 = 0x0102_0304_0506_0708;
+    let request = Request::Classify {
+        deadline_us: 250_000,
+        window: vec![
+            vec![0x0001, 0x0203, 0x0405, 0xfffe],
+            vec![17, 0, 4096, 65535],
+            vec![300, 301, 302, 303],
+        ],
+    };
+    let response = Response::Verdict(Verdict {
+        class: 3,
+        distances: vec![4100, 3990, 5012, 17, 4096],
+        query: BinaryHv::from_words(vec![0xDEAD_BEEF, 0x0123_4567, 0x89AB_CDEF, 0x8000_0001]),
+        cycles: Some(CycleBreakdown {
+            map_encode: 1234,
+            am: 567,
+            total: 1801,
+        }),
+        source: VerdictSource::EarlyAccept,
+    });
+
+    let bytes = encode_request(ID, &request);
+    assert_eq!(hex(&bytes), GOLDEN_REQUEST);
+    let header = decode_header(&bytes, MAX_FRAME).unwrap();
+    assert_eq!(
+        decode_request(&header, &bytes[proto::HEADER_LEN..]).unwrap(),
+        request
+    );
+
+    let bytes = encode_response(ID, &response);
+    assert_eq!(hex(&bytes), GOLDEN_VERDICT);
+    let header = decode_header(&bytes, MAX_FRAME).unwrap();
+    assert_eq!(
+        decode_response(&header, &bytes[proto::HEADER_LEN..]).unwrap(),
+        response
+    );
+
+    let mut appended = b"earlier frames".to_vec();
+    encode_response_into(&mut appended, ID, &response);
+    assert_eq!(&appended[..14], b"earlier frames");
+    assert_eq!(hex(&appended[14..]), GOLDEN_VERDICT);
 }
