@@ -779,8 +779,6 @@ fn gen_stats(rng: &mut XorShift64) -> ServerStats {
         deadline_expired: rng.next_u64() >> 20,
         retried_batches: rng.next_u64() >> 20,
         contained_panics: rng.next_u64() >> 20,
-        shard_windows: (0..rng.range(0, 4)).map(|_| rng.next_u64()).collect(),
-        shard_healthy: (0..rng.range(0, 4)).map(|_| rng.chance(1, 2)).collect(),
         cache_hits: rng.next_u64() >> 20,
         cache_misses: rng.next_u64() >> 20,
         cache_evictions: rng.next_u64() >> 20,
@@ -804,7 +802,6 @@ fn gen_response(rng: &mut XorShift64) -> Response {
         2 => Response::Stats(gen_stats(rng)),
         3 => Response::Health(HealthReport {
             serving: rng.chance(1, 2),
-            shard_healthy: (0..rng.range(0, 4)).map(|_| rng.chance(1, 2)).collect(),
         }),
         _ => Response::Error(gen_fault(rng)),
     }

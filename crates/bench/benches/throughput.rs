@@ -26,14 +26,6 @@
 //! and that p99 stays inside its structural envelope of `max_delay`
 //! plus two batches' service time.
 //!
-//! **Sharding:** a 1/2/4-shard sweep over [`ShardedBackend`] — batch-
-//! and class-sharded `classify_batch` at 256 windows, sharded training,
-//! and a 64-client closed-loop serving run on a batch-sharded session
-//! behind `Server::from_session` with its `ShardMonitor` registered.
-//! Guards that 2-shard serving clearly beats the single-session server
-//! where there are cores to shard across (parity floor on a single-CPU
-//! host), and records `serving_speedup_sharded_vs_single_session`.
-//!
 //! **Wire serving:** the same adaptive server behind the network
 //! front-end (`pulp_hd_serve::net`), swept at 1/8/64 closed-loop
 //! [`NetClient`]s over loopback TCP and a Unix-domain socket. Records
@@ -80,8 +72,8 @@ use hdc::hv64::{BitslicedBundler, Hv64};
 use hdc::{BinaryHv, Simd};
 use pulp_hd_bench::timing::bench;
 use pulp_hd_core::backend::{
-    AccelBackend, ApproxPolicy, BackendSession, ExecutionBackend, FastBackend, GoldenBackend,
-    HdModel, ScanPolicy, ShardSpec, ShardedBackend, TrainSpec, TrainableBackend,
+    AccelBackend, ApproxPolicy, ExecutionBackend, FastBackend, GoldenBackend, HdModel, ScanPolicy,
+    TrainSpec, TrainableBackend,
 };
 use pulp_hd_core::layout::AccelParams;
 use pulp_hd_core::platform::Platform;
@@ -202,15 +194,6 @@ struct NetServingRow {
     stats: ServerStats,
 }
 
-/// One measured sharding point: a `ShardedBackend` workload at a shard
-/// count.
-struct ShardRow {
-    shards: usize,
-    strategy: &'static str,
-    workload: &'static str,
-    windows_per_sec: f64,
-}
-
 /// Drives `clients` closed-loop client threads (submit-and-wait, each
 /// request picked round-robin from `windows`) at `server` and returns
 /// measured wall-clock throughput plus the server's own telemetry.
@@ -249,28 +232,6 @@ fn serving_run(
 ) -> (f64, ServerStats) {
     let backend = FastBackend::try_with_threads(threads).expect("nonzero thread count");
     let server = Server::spawn(&backend, model, config).expect("serving spawn");
-    drive_clients(server, clients, requests_per_client, windows)
-}
-
-/// A closed-loop client sweep against a server fronting a batch-sharded
-/// session (`ShardedBackend::fast`, which splits the machine's thread
-/// budget across the shards) with its `ShardMonitor` registered.
-fn serving_run_sharded(
-    model: &HdModel,
-    shards: usize,
-    config: ServeConfig,
-    clients: usize,
-    requests_per_client: usize,
-    windows: &[Vec<Vec<u16>>],
-) -> (f64, ServerStats) {
-    let backend = ShardedBackend::fast(ShardSpec::Batch(shards)).expect("nonzero shard count");
-    let session = backend
-        .prepare_sharded(model)
-        .expect("sharded serving prepare");
-    let monitor = session.monitor();
-    let server = Server::from_session(Box::new(session), config)
-        .expect("sharded serving spawn")
-        .with_shard_monitor(monitor);
     drive_clients(server, clients, requests_per_client, windows)
 }
 
@@ -332,15 +293,12 @@ fn write_json(
     training: &[Row],
     serving: &[ServingRow],
     net_serving: &[NetServingRow],
-    sharding: &[ShardRow],
     kernels: &[KernelRow],
     speedup: f64,
     train_speedup: f64,
     serving_speedup: f64,
-    serving_speedup_sharded: f64,
     net_serving_ratio: f64,
     pruned_cliff: (f64, f64),
-    containment: (f64, f64, f64),
     approx: &ApproxReport,
 ) {
     let write_rows = |json: &mut String, rows: &[Row]| {
@@ -418,17 +376,6 @@ fn write_json(
         );
     }
     let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"sharding\": [");
-    for (i, row) in sharding.iter().enumerate() {
-        let comma = if i + 1 < sharding.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{ \"shards\": {}, \"strategy\": \"{}\", \"workload\": \"{}\", \
-             \"windows_per_sec\": {:.1} }}{comma}",
-            row.shards, row.strategy, row.workload, row.windows_per_sec
-        );
-    }
-    let _ = writeln!(json, "  ],");
     let (cliff_full, cliff_pruned) = pruned_cliff;
     let _ = writeln!(
         json,
@@ -460,17 +407,7 @@ fn write_json(
     );
     let _ = writeln!(
         json,
-        "  \"serving_speedup_sharded_vs_single_session\": {serving_speedup_sharded:.2},"
-    );
-    let _ = writeln!(
-        json,
         "  \"net_serving_uds_vs_inprocess_64clients\": {net_serving_ratio:.2},"
-    );
-    let (contained_wps, uncontained_wps, containment_ratio) = containment;
-    let _ = writeln!(
-        json,
-        "  \"containment\": {{ \"contained_wps\": {contained_wps:.1}, \
-         \"uncontained_wps\": {uncontained_wps:.1}, \"ratio\": {containment_ratio:.3} }},"
     );
     let approx_best = approx
         .threshold_wps
@@ -671,39 +608,6 @@ fn main() {
             pruned_cliff = Some((fm_wps, fp_wps));
         }
     }
-
-    // Containment overhead: every pool job now runs under a
-    // catch_unwind wrapper so a worker panic becomes a typed error
-    // instead of a dead session — and that wrapper must be effectively
-    // free on the healthy path. Same interleaved best-of-three
-    // discipline as the thread-scaling guards: within-run comparison,
-    // so the 0.95 floor is machine-independent.
-    let mut contained_secs = f64::INFINITY;
-    let mut uncontained_secs = f64::INFINITY;
-    {
-        let mut unguarded = FastBackend::with_threads(threads)
-            .without_containment()
-            .prepare(&model)
-            .expect("fast prepare");
-        let batch_windows = &windows[..256];
-        for rep in 0..3 {
-            let c = bench(&format!("fast/contained/batch256/rep{rep}"), 8, || {
-                fast_mt.classify_batch(batch_windows).unwrap()
-            });
-            let u = bench(&format!("fast/uncontained/batch256/rep{rep}"), 8, || {
-                unguarded.classify_batch(batch_windows).unwrap()
-            });
-            contained_secs = contained_secs.min(c.per_iter().as_secs_f64());
-            uncontained_secs = uncontained_secs.min(u.per_iter().as_secs_f64());
-        }
-    }
-    let contained_wps = 256.0 / contained_secs;
-    let uncontained_wps = 256.0 / uncontained_secs;
-    let containment_ratio = contained_wps / uncontained_wps;
-    println!(
-        "panic containment on the healthy path at batch 256: contained {contained_wps:.0} w/s \
-         vs uncontained {uncontained_wps:.0} w/s ({containment_ratio:.2}x)\n"
-    );
 
     // The approximate-inference ladder. The `ApproxPolicy` rungs trade
     // bit-exactness for AM-scan work, so they are measured on a
@@ -1238,110 +1142,6 @@ fn main() {
         }
     }
 
-    // Sharding: the same classify / train / serve workloads through
-    // `ShardedBackend`, sweeping the shard count. `ShardedBackend::fast`
-    // splits the machine's thread budget across the shards, so the
-    // sweep measures fan-out shape (one big pool vs. N smaller
-    // sessions), not extra hardware.
-    println!(
-        "\nsharding throughput (ShardedBackend over the fast engine, \
-         machine thread budget split across shards)\n"
-    );
-    let mut sharding_rows: Vec<ShardRow> = Vec::new();
-    let mut serving_sharded_2 = None;
-    for shards in [1usize, 2, 4] {
-        let iters = 8u32;
-        let mut batch_session = ShardedBackend::fast(ShardSpec::Batch(shards))
-            .and_then(|b| b.prepare_sharded(&model))
-            .expect("batch-sharded prepare");
-        let bs = bench(&format!("shard/batch-{shards}/classify256"), iters, || {
-            batch_session.classify_batch(&windows).unwrap()
-        });
-        let mut class_session = ShardedBackend::fast(ShardSpec::Class(shards))
-            .and_then(|b| b.prepare_sharded(&model))
-            .expect("class-sharded prepare");
-        let cs = bench(&format!("shard/class-{shards}/classify256"), iters, || {
-            class_session.classify_batch(&windows).unwrap()
-        });
-        let mut train_session = ShardedBackend::fast(ShardSpec::Batch(shards))
-            .expect("sharded backend")
-            .begin_training(&spec)
-            .expect("sharded training session");
-        let ts = bench(&format!("shard/batch-{shards}/train256"), iters, || {
-            train_session.reset();
-            train_session.train_batch(&windows, &labels).unwrap();
-        });
-        // Closed-loop serving on the sharded session: same 64-client
-        // sweep as the single-session bench, best-of-3.
-        let clients = 64usize;
-        let requests_per_client = (4096 / clients).max(64);
-        let mut serve_best: Option<(f64, ServerStats)> = None;
-        for _rep in 0..3 {
-            let (wps, stats) = serving_run_sharded(
-                &model,
-                shards,
-                adaptive_config(),
-                clients,
-                requests_per_client,
-                &serve_windows,
-            );
-            if serve_best.as_ref().is_none_or(|(b, _)| wps > *b) {
-                serve_best = Some((wps, stats));
-            }
-        }
-        let (serve_wps, serve_stats) = serve_best.expect("measured");
-        assert_eq!(
-            serve_stats.shard_windows.len(),
-            shards,
-            "sharded server must report per-shard traffic"
-        );
-        assert_eq!(
-            serve_stats.shard_windows.iter().sum::<u64>(),
-            (clients * requests_per_client) as u64,
-            "batch-sharded per-shard traffic must sum to the total"
-        );
-        if shards == 2 {
-            serving_sharded_2 = Some(serve_wps);
-        }
-
-        let wps = |secs_per_batch: f64| windows.len() as f64 / secs_per_batch;
-        let (b_wps, c_wps, t_wps) = (
-            wps(bs.per_iter().as_secs_f64()),
-            wps(cs.per_iter().as_secs_f64()),
-            wps(ts.per_iter().as_secs_f64()),
-        );
-        println!(
-            "  {shards} shard(s): batch-classify {b_wps:>9.0} w/s   class-classify \
-             {c_wps:>9.0} w/s   train {t_wps:>9.0} w/s   serving×64 {serve_wps:>9.0} w/s \
-             (shard windows {:?})\n",
-            serve_stats.shard_windows
-        );
-        sharding_rows.push(ShardRow {
-            shards,
-            strategy: "batch",
-            workload: "classify256",
-            windows_per_sec: b_wps,
-        });
-        sharding_rows.push(ShardRow {
-            shards,
-            strategy: "class",
-            workload: "classify256",
-            windows_per_sec: c_wps,
-        });
-        sharding_rows.push(ShardRow {
-            shards,
-            strategy: "batch",
-            workload: "train256",
-            windows_per_sec: t_wps,
-        });
-        sharding_rows.push(ShardRow {
-            shards,
-            strategy: "batch",
-            workload: "serving64",
-            windows_per_sec: serve_wps,
-        });
-    }
-
     println!(
         "\nper-kernel microbenchmarks (dispatched level: {})",
         Simd::active().name()
@@ -1362,12 +1162,6 @@ fn main() {
     println!(
         "adaptive serving (64 closed-loop clients) vs batch-1 submission: {serving_speedup:.2}x"
     );
-    let serving_sharded_wps = serving_sharded_2.expect("2-shard serving measured");
-    let serving_speedup_sharded = serving_sharded_wps / serve_adaptive_wps;
-    println!(
-        "2-shard serving (64 closed-loop clients) vs single-session server: \
-         {serving_speedup_sharded:.2}x"
-    );
     let net_uds_64_wps = net_uds_64.expect("64-client UDS wire serving measured");
     let net_serving_ratio = net_uds_64_wps / serve_adaptive_wps;
     println!(
@@ -1387,15 +1181,12 @@ fn main() {
         &training_rows,
         &serving_rows,
         &net_serving_rows,
-        &sharding_rows,
         &kernels,
         speedup,
         train_speedup,
         serving_speedup,
-        serving_speedup_sharded,
         net_serving_ratio,
         (cliff_full, cliff_pruned),
-        (contained_wps, uncontained_wps, containment_ratio),
         &approx_report,
     );
     assert!(
@@ -1431,15 +1222,6 @@ fn main() {
              {fm_wps:.0} w/s vs {f1_wps:.0} w/s (floor {parity_floor}x)"
         );
     }
-    // The fault-tolerance budget: panic containment may cost at most 5%
-    // of healthy-path throughput (interleaved within-run comparison, so
-    // the floor holds on any machine).
-    assert!(
-        containment_ratio >= 0.95,
-        "panic containment exceeded its 5% healthy-path budget: contained \
-         {contained_wps:.0} w/s vs uncontained {uncontained_wps:.0} w/s \
-         ({containment_ratio:.2}x, floor 0.95x)"
-    );
     // The serving guards. (1) Throughput: under heavy concurrency the
     // micro-batcher must clearly beat per-request submission through
     // the identical machinery — the whole reason the serving layer
@@ -1479,31 +1261,7 @@ fn main() {
         "a lone client must not pay an adaptive-batching tax: adaptive \
          {solo_adaptive_wps:.0} w/s vs batch-1 {solo_batch1_wps:.0} w/s at 1 client"
     );
-    // (1c) Sharded serving: with cores to shard across, fanning the
-    // serving path out over two sessions must clearly beat the single
-    // big session at 64 clients (two batches in flight instead of one,
-    // each on half the pool). On a narrow host the shards time-slice
-    // the same cores, so the guard degrades to "sharding must not be
-    // meaningfully worse than the single session".
-    if cpus >= 4 {
-        assert!(
-            serving_speedup_sharded >= 1.3,
-            "2-shard serving must sustain >= 1.3x the single-session server at 64 \
-             clients, got {serving_speedup_sharded:.2}x ({serving_sharded_wps:.0} vs \
-             {serve_adaptive_wps:.0} w/s)"
-        );
-    } else {
-        println!(
-            "{cpus}-CPU host: sharded serving guard relaxed to parity \
-             (the >= 1.3x fan-out claim is enforced on the multi-core CI runner)"
-        );
-        assert!(
-            serving_speedup_sharded >= 0.85,
-            "2-shard serving regressed below the single-session server at 64 clients \
-             on a {cpus}-CPU host: {serving_speedup_sharded:.2}x"
-        );
-    }
-    // (1d) The wire tax: serving over a Unix-domain socket at 64
+    // (1c) The wire tax: serving over a Unix-domain socket at 64
     // clients — every request paying encode → frame → syscall → decode
     // both ways — must hold at least half the in-process adaptive
     // throughput. With enough cores the reader/responder threads and

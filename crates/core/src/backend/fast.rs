@@ -37,7 +37,10 @@
 //!   the threaded path never loses to the single-threaded one. The
 //!   pool holds `min(threads, available_parallelism) - 1` workers:
 //!   oversubscribing a CPU-bound bit-kernel workload can only add
-//!   context switches.
+//!   context switches. Every job runs with its panics contained: a
+//!   panicking chunk fails its batch with a typed
+//!   [`BackendError::WorkerLost`], and the worker rebuilds its arena
+//!   and keeps serving.
 //!
 //! The associative-memory search is controlled by [`ScanPolicy`]: the
 //! default [`ScanPolicy::Full`] scans every prototype word and returns
@@ -51,15 +54,17 @@
 //! skip *and* the skipped work outweighs the per-block bookkeeping: at
 //! batch 256 on the 5-class EMG model the bench records `fast-pruned`
 //! at ~0.85× `fast` (the `"pruned_cliff"` guard in
-//! `BENCH_throughput.json`), and with one prototype there is nothing to
-//! prune at all — so sessions whose associative memory holds **≤ 1
-//! prototype silently run [`ScanPolicy::Full`]** whatever was
-//! requested. This matters for class-sharded serving: a
-//! [`ShardedBackend`](super::ShardedBackend) sliced down to one class
-//! per shard would otherwise pay the pruned scan's bookkeeping on every
-//! shard with zero skippable work. Reach for `Pruned` in
-//! latency-sensitive single-window regimes with many classes; large
-//! batches and tiny associative memories belong on `Full`.
+//! `BENCH_throughput.json`). With one prototype there is nothing to
+//! skip at all: the first prototype is always scanned in full to set
+//! the running minimum, and there is no second one to abandon or to
+//! accept early in its place. So sessions whose associative memory
+//! holds **≤ 1 prototype silently run [`ScanPolicy::Full`]** whatever
+//! was requested: a one-class model (a detector that only scores the
+//! distance to one learned pattern) pays no bookkeeping, and its
+//! verdicts carry the exact distance and [`VerdictSource::Scan`]. Reach
+//! for `Pruned` in latency-sensitive single-window regimes with many
+//! classes; large batches and tiny associative memories belong on
+//! `Full`.
 //!
 //! On top of the exact scan sits the **approximate inference ladder**,
 //! [`ApproxPolicy`]: threshold early-termination
@@ -392,10 +397,6 @@ pub struct FastBackend {
     threads: usize,
     scan: ScanPolicy,
     approx: ApproxPolicy,
-    /// Pool workers contain job panics behind `catch_unwind` (on by
-    /// default; the bench's overhead guard is the only caller that
-    /// turns it off).
-    containment: bool,
 }
 
 impl FastBackend {
@@ -408,7 +409,6 @@ impl FastBackend {
             threads,
             scan: ScanPolicy::Full,
             approx: ApproxPolicy::Exact,
-            containment: true,
         }
     }
 
@@ -448,7 +448,6 @@ impl FastBackend {
             threads,
             scan: ScanPolicy::Full,
             approx: ApproxPolicy::Exact,
-            containment: true,
         })
     }
 
@@ -467,20 +466,6 @@ impl FastBackend {
     #[must_use]
     pub fn with_approx(mut self, approx: ApproxPolicy) -> Self {
         self.approx = approx;
-        self
-    }
-
-    /// Disables worker panic containment. A panicking job then unwinds
-    /// the worker thread and the batch fails with
-    /// [`BackendError::WorkerLost`] once the dead worker is detected —
-    /// but the worker is gone for good. Exists **only** so the bench can
-    /// measure the healthy-path cost of containment (the
-    /// `"containment"` guard in `BENCH_throughput.json`); every real
-    /// deployment wants the default.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn without_containment(mut self) -> Self {
-        self.containment = false;
         self
     }
 
@@ -535,8 +520,7 @@ impl FastBackend {
         let pool = {
             let core = &core;
             let caught = &caught;
-            let containment = self.containment;
-            WorkerPool::spawn(participants.saturating_sub(1), |_| {
+            WorkerPool::spawn(participants.saturating_sub(1), || {
                 let core = Arc::clone(core);
                 let caught = Arc::clone(caught);
                 let mut scratch = EncodeScratch::new(core.enc.n_words32);
@@ -548,33 +532,28 @@ impl FastBackend {
                         chunk,
                         done,
                     } = job;
-                    let run = |scratch: &mut EncodeScratch, cache: &mut Option<QueryCache>| {
+                    let result = contain(|| {
                         // SAFETY: see `RawWindows` — the batch outlives
                         // the job because the dispatcher waits for our
                         // `done` message before returning.
                         let windows = unsafe { windows.slice() };
-                        windows[range.clone()]
+                        windows[range]
                             .iter()
-                            .map(|w| core.classify_with(w, scratch, cache))
+                            .map(|w| core.classify_with(w, &mut scratch, &mut cache))
                             .collect::<Result<Vec<_>, _>>()
-                    };
-                    let result = if containment {
-                        contain(|| run(&mut scratch, &mut cache)).unwrap_or_else(|panic| {
-                            // The arena (and cache) may hold torn state
-                            // from the unwound encode; respawn both,
-                            // count the loss, keep the worker alive.
-                            scratch = EncodeScratch::new(core.enc.n_words32);
-                            cache = core.new_cache();
-                            // ORDERING: Relaxed — contained-panic
-                            // telemetry; the loss itself is reported
-                            // through the job's result channel, which
-                            // does the synchronizing.
-                            caught.fetch_add(1, Ordering::Relaxed);
-                            Err(BackendError::WorkerLost { chunk, panic })
-                        })
-                    } else {
-                        run(&mut scratch, &mut cache)
-                    };
+                    })
+                    .unwrap_or_else(|panic| {
+                        // The arena (and cache) may hold torn state from
+                        // the unwound encode; respawn both, count the
+                        // loss, keep the worker alive.
+                        scratch = EncodeScratch::new(core.enc.n_words32);
+                        cache = core.new_cache();
+                        // ORDERING: Relaxed — contained-panic telemetry;
+                        // the loss itself is reported through the job's
+                        // result channel, which does the synchronizing.
+                        caught.fetch_add(1, Ordering::Relaxed);
+                        Err(BackendError::WorkerLost { chunk, panic })
+                    });
                     // A dropped receiver just means the dispatcher gave
                     // up on the batch; keep serving future jobs.
                     let _ = done.send((chunk, result));
@@ -598,7 +577,7 @@ impl FastBackend {
     /// [`begin_training`](TrainableBackend::begin_training) with an
     /// explicit participant count — the testable core of training
     /// session construction, also exercised on single-CPU hosts.
-    pub(super) fn begin_training_with_participants(
+    fn begin_training_with_participants(
         &self,
         spec: &TrainSpec,
         participants: usize,
@@ -620,8 +599,7 @@ impl FastBackend {
         let pool = {
             let enc = &enc;
             let caught = &caught;
-            let containment = self.containment;
-            WorkerPool::spawn(participants.saturating_sub(1), |_| {
+            WorkerPool::spawn(participants.saturating_sub(1), || {
                 let enc = Arc::clone(enc);
                 let caught = Arc::clone(caught);
                 let mut scratch = EncodeScratch::new(enc.n_words32);
@@ -629,12 +607,12 @@ impl FastBackend {
                     let TrainJob {
                         windows,
                         labels,
-                        range,
+                        mut range,
                         chunk,
                         classes,
                         done,
                     } = job;
-                    let run = |scratch: &mut EncodeScratch| {
+                    let result = contain(|| {
                         // SAFETY: see `RawWindows`/`RawLabels` — the
                         // batch and label slices outlive the job because
                         // the dispatcher waits for our `done` message.
@@ -645,31 +623,25 @@ impl FastBackend {
                             .map(|_| CounterBundler::new(enc.n_words32))
                             .collect();
                         range
-                            .clone()
                             .try_for_each(|i| {
                                 validate_label(labels[i], classes)?;
-                                enc.encode_with(&windows[i], scratch)?;
+                                enc.encode_with(&windows[i], &mut scratch)?;
                                 partials[labels[i]].add(&scratch.query);
                                 Ok(())
                             })
                             .map(|()| partials)
-                    };
-                    let result = if containment {
-                        contain(|| run(&mut scratch)).unwrap_or_else(|panic| {
-                            // Partial counters died with the unwind (they
-                            // were job-local); only the arena needs a
-                            // respawn before the next job.
-                            scratch = EncodeScratch::new(enc.n_words32);
-                            // ORDERING: Relaxed — contained-panic
-                            // telemetry; the loss itself is reported
-                            // through the job's result channel, which
-                            // does the synchronizing.
-                            caught.fetch_add(1, Ordering::Relaxed);
-                            Err(BackendError::WorkerLost { chunk, panic })
-                        })
-                    } else {
-                        run(&mut scratch)
-                    };
+                    })
+                    .unwrap_or_else(|panic| {
+                        // Partial counters died with the unwind (they
+                        // were job-local); only the arena needs a respawn
+                        // before the next job.
+                        scratch = EncodeScratch::new(enc.n_words32);
+                        // ORDERING: Relaxed — contained-panic telemetry;
+                        // the loss itself is reported through the job's
+                        // result channel, which does the synchronizing.
+                        caught.fetch_add(1, Ordering::Relaxed);
+                        Err(BackendError::WorkerLost { chunk, panic })
+                    });
                     let _ = done.send((chunk, result));
                 }
             })
@@ -880,10 +852,11 @@ impl FastCore {
     /// The associative-memory search on an already-encoded query.
     fn scan_query(&self, query: &Hv64) -> Verdict {
         let mut distances = Vec::with_capacity(self.prototypes.len());
-        // With ≤ 1 prototype there is nothing to prune or skip: every
-        // policy degenerates to the full scan, and paying the pruned
-        // scan's bookkeeping would be pure loss (the class-sharded
-        // one-class-per-shard case — see the module docs).
+        // With ≤ 1 prototype there is nothing to prune or skip: the one
+        // prototype is scanned in full whatever the policy, so the
+        // pruned or threshold bookkeeping would be pure loss, and the
+        // full scan keeps a one-class model's verdicts exact (see the
+        // module docs).
         let effective = if self.prototypes.len() <= 1 {
             ScanPolicy::Full
         } else {
@@ -1043,12 +1016,7 @@ impl FastSession {
             tx: Some(done_tx),
             outstanding: 0,
         };
-        // Chunks whose worker thread is already gone (its job channel
-        // closed — only reachable with containment disabled, since
-        // contained workers never die) fall back to the calling thread.
-        let mut orphaned: Vec<(usize, Range<usize>)> = Vec::new();
         for idx in 1..n_chunks {
-            let range = idx * chunk..((idx + 1) * chunk).min(windows.len());
             let done = drain
                 .tx
                 .as_ref()
@@ -1059,13 +1027,14 @@ impl FastSession {
                 .clone();
             let job = ClassifyJob {
                 windows: RawWindows::of(windows),
-                range: range.clone(),
+                range: idx * chunk..((idx + 1) * chunk).min(windows.len()),
                 chunk: idx,
                 done,
             };
-            if self.pool.senders[idx - 1].send(job).is_err() {
-                orphaned.push((idx, range));
-            } else {
+            // A job that cannot be sent (its worker thread is gone)
+            // leaves its chunk unreported: it fails below with that
+            // chunk's `WorkerLost`, like a worker that dies mid-job.
+            if self.pool.senders[idx - 1].send(job).is_ok() {
                 drain.outstanding += 1;
             }
         }
@@ -1083,17 +1052,6 @@ impl FastSession {
         });
         let mut parts: Vec<Option<Result<Vec<Verdict>, BackendError>>> =
             (1..n_chunks).map(|_| None).collect();
-        for (idx, range) in orphaned {
-            parts[idx - 1] = Some(
-                windows[range]
-                    .iter()
-                    .map(|w| {
-                        self.core
-                            .classify_with(w, &mut self.scratch, &mut self.cache)
-                    })
-                    .collect(),
-            );
-        }
         while drain.outstanding > 0 {
             // A recv error means a worker died mid-job without reporting
             // (all senders gone, so no worker still sees the batch):
@@ -1175,13 +1133,7 @@ impl BackendSession for FastSession {
 /// Prototypes re-threshold lazily ([`finalize`](TrainingSession::
 /// finalize) or the classification inside `update_online` pay the cost
 /// only for classes whose counters changed).
-///
-/// `pub(super)` so the [`sharded`](super::sharded) backend can run one
-/// of these per shard and reduce their counter partials ([`take_
-/// partials`](Self::take_partials) / [`absorb_partials`](Self::
-/// absorb_partials)) — the same commutative merge that already joins
-/// this session's own worker partials.
-pub(super) struct FastTrainingSession {
+struct FastTrainingSession {
     enc: Arc<EncodeCore>,
     counters: Vec<CounterBundler>,
     prototypes: Vec<Hv64>,
@@ -1229,33 +1181,6 @@ impl FastTrainingSession {
         self.stale[label] = true;
         Ok(())
     }
-
-    /// Takes every accumulated per-class counter plane out of this
-    /// session, leaving it empty (fresh bundlers, nothing stale) — the
-    /// shard-side half of the sharded-training reduction.
-    pub(super) fn take_partials(&mut self) -> Vec<CounterBundler> {
-        for stale in &mut self.stale {
-            *stale = false;
-        }
-        let fresh: Vec<CounterBundler> = self
-            .counters
-            .iter()
-            .map(|c| CounterBundler::new(c.n_words32()))
-            .collect();
-        std::mem::replace(&mut self.counters, fresh)
-    }
-
-    /// Merges another session's taken partials into this session's
-    /// counters (commutative, so the reduced counters equal sequential
-    /// accumulation of both example streams in any order).
-    pub(super) fn absorb_partials(&mut self, partials: &[CounterBundler]) {
-        for (class, partial) in partials.iter().enumerate() {
-            if !partial.is_empty() {
-                self.counters[class].merge(partial);
-                self.stale[class] = true;
-            }
-        }
-    }
 }
 
 impl TrainingSession for FastTrainingSession {
@@ -1292,11 +1217,10 @@ impl TrainingSession for FastTrainingSession {
             tx: Some(done_tx),
             outstanding: 0,
         };
-        // Chunks whose worker thread is already gone train inline on the
-        // calling thread (only reachable with containment disabled).
-        let mut orphaned: Vec<Range<usize>> = Vec::new();
+        // The first chunk whose job cannot be sent (its worker thread is
+        // gone) fails the batch with that chunk's `WorkerLost`.
+        let mut unsent = None;
         for idx in 1..n_chunks {
-            let range = idx * chunk..((idx + 1) * chunk).min(windows.len());
             let done = drain
                 .tx
                 .as_ref()
@@ -1308,15 +1232,15 @@ impl TrainingSession for FastTrainingSession {
             let job = TrainJob {
                 windows: RawWindows::of(windows),
                 labels: RawLabels::of(labels),
-                range: range.clone(),
+                range: idx * chunk..((idx + 1) * chunk).min(windows.len()),
                 chunk: idx,
                 classes: self.counters.len(),
                 done,
             };
-            if self.pool.senders[idx - 1].send(job).is_err() {
-                orphaned.push(range);
-            } else {
+            if self.pool.senders[idx - 1].send(job).is_ok() {
                 drain.outstanding += 1;
+            } else {
+                unsent = unsent.or(Some(idx));
             }
         }
         drain.tx = None;
@@ -1326,14 +1250,13 @@ impl TrainingSession for FastTrainingSession {
             .iter()
             .zip(&labels[..chunk])
             .try_for_each(|(w, &l)| self.train_inline(w, l))
-            .err();
-        for range in orphaned {
-            let err = range
-                .clone()
-                .try_for_each(|i| self.train_inline(&windows[i], labels[i]))
-                .err();
-            first_error = first_error.or(err);
-        }
+            .err()
+            .or_else(|| {
+                unsent.map(|chunk| BackendError::WorkerLost {
+                    chunk,
+                    panic: "worker thread terminated before reporting".into(),
+                })
+            });
         let mut lost = 0;
         while drain.outstanding > 0 {
             // A recv error means a worker died mid-job without reporting
@@ -1539,13 +1462,15 @@ mod tests {
         }
     }
 
-    /// Panic isolation on the serving pool: a job that panics inside a
-    /// worker (an out-of-range chunk crafted straight at the worker's
-    /// job channel) comes back as a typed [`BackendError::WorkerLost`],
-    /// the containment counter ticks, and the *same* worker keeps
-    /// serving subsequent batches bit-identically to golden.
+    /// Panic isolation on the serving pool, on every SIMD level: a job
+    /// that panics inside a worker (an out-of-range chunk crafted
+    /// straight at the worker's job channel) comes back as a typed
+    /// [`BackendError::WorkerLost`], the containment counter ticks, and
+    /// the *same* worker keeps serving subsequent batches
+    /// bit-identically to golden.
     #[test]
     fn contained_worker_panic_surfaces_as_worker_lost_and_pool_survives() {
+        use hdc::simd::Simd;
         crate::backend::pool::silence_expected_panics();
         let params = AccelParams {
             n_words: 6,
@@ -1553,33 +1478,44 @@ mod tests {
         };
         let model = HdModel::random(&params, 21);
         let mut golden = GoldenBackend.prepare(&model).unwrap();
-        let mut session = pooled_session(FastBackend::with_threads(2), &model, 2);
         let windows = random_windows(&params, 3, 4, 77);
-        let (done_tx, done_rx) = channel();
-        session.pool.senders[0]
-            .send(ClassifyJob {
-                windows: RawWindows::of(&windows),
-                range: 0..windows.len() + 9,
-                chunk: 1,
-                done: done_tx,
-            })
-            .unwrap();
-        let (chunk, result) = done_rx.recv().unwrap();
-        assert_eq!(chunk, 1);
-        match result {
-            Err(BackendError::WorkerLost { chunk: 1, panic }) => {
-                assert!(panic.contains("out of range"), "{panic}");
-            }
-            other => panic!("expected WorkerLost, got {other:?}"),
-        }
-        assert_eq!(session.caught.load(Ordering::Relaxed), 1);
-        // Same pool, same worker thread: fanned batches still work.
         let batch = random_windows(&params, 3, 2 * MIN_WINDOWS_PER_WORKER, 78);
-        assert_eq!(session.fan_out(batch.len()), 2);
-        assert_eq!(
-            session.classify_batch(&batch).unwrap(),
-            golden.classify_batch(&batch).unwrap()
-        );
+        let expected = golden.classify_batch(&batch).unwrap();
+        let restore = Simd::active();
+        let mut levels = vec![Simd::Portable];
+        if Simd::detect() != Simd::Portable {
+            levels.push(Simd::detect());
+        }
+        for level in levels {
+            Simd::set_active(level);
+            let mut session = pooled_session(FastBackend::with_threads(2), &model, 2);
+            let (done_tx, done_rx) = channel();
+            session.pool.senders[0]
+                .send(ClassifyJob {
+                    windows: RawWindows::of(&windows),
+                    range: 0..windows.len() + 9,
+                    chunk: 1,
+                    done: done_tx,
+                })
+                .unwrap();
+            let (chunk, result) = done_rx.recv().unwrap();
+            assert_eq!(chunk, 1, "{level:?}");
+            match result {
+                Err(BackendError::WorkerLost { chunk: 1, panic }) => {
+                    assert!(panic.contains("out of range"), "{level:?}: {panic}");
+                }
+                other => panic!("{level:?}: expected WorkerLost, got {other:?}"),
+            }
+            assert_eq!(session.caught.load(Ordering::Relaxed), 1, "{level:?}");
+            // Same pool, same worker thread: fanned batches still work.
+            assert_eq!(session.fan_out(batch.len()), 2);
+            assert_eq!(
+                session.classify_batch(&batch).unwrap(),
+                expected,
+                "{level:?}: verdicts after a contained panic"
+            );
+        }
+        Simd::set_active(restore);
     }
 
     /// Panic isolation on the training pool: the worker rebuilds its
@@ -1630,53 +1566,96 @@ mod tests {
         );
     }
 
-    /// With containment disabled (the bench-only knob) a panicking job
-    /// kills its worker for good — and the dispatcher then detects the
-    /// closed job channel and runs the orphaned chunk inline, so the
-    /// session still serves correct verdicts on a shrunken pool.
+    /// A chunk whose job cannot be handed to its worker (the worker's
+    /// job channel is closed) fails the batch with that chunk's typed
+    /// `WorkerLost`, for classification and training alike; the
+    /// classification output stays untouched.
     #[test]
-    fn without_containment_a_dead_worker_falls_back_inline() {
-        crate::backend::pool::silence_expected_panics();
+    fn unsendable_chunk_fails_with_its_worker_lost() {
         let params = AccelParams {
             n_words: 6,
             ..AccelParams::emg_default()
         };
-        let model = HdModel::random(&params, 41);
-        let mut golden = GoldenBackend.prepare(&model).unwrap();
-        let mut session = pooled_session(
-            FastBackend::with_threads(2).without_containment(),
-            &model,
-            2,
-        );
-        let windows = random_windows(&params, 3, 4, 55);
-        let (done_tx, done_rx) = channel();
-        session.pool.senders[0]
-            .send(ClassifyJob {
-                windows: RawWindows::of(&windows),
-                range: 0..windows.len() + 9,
-                chunk: 1,
-                done: done_tx,
-            })
+        let batch = random_windows(&params, 3, 2 * MIN_WINDOWS_PER_WORKER, 79);
+        let labels = random_labels(batch.len(), params.classes, 80);
+
+        let model = HdModel::random(&params, 23);
+        let mut session = pooled_session(FastBackend::with_threads(2), &model, 2);
+        session.pool.senders[0] = channel().0;
+        let mut out = Vec::new();
+        assert!(matches!(
+            session.classify_batch_into(&batch, &mut out),
+            Err(BackendError::WorkerLost { chunk: 1, .. })
+        ));
+        assert!(out.is_empty());
+
+        let spec = TrainSpec::random(&params, 23);
+        let mut training = pooled_training(FastBackend::with_threads(2), &spec, 2);
+        training.pool.senders[0] = channel().0;
+        assert!(matches!(
+            training.train_batch(&batch, &labels),
+            Err(BackendError::WorkerLost { chunk: 1, .. })
+        ));
+    }
+
+    /// The shape of the Miri-sized handoff tests below: tiny enough for
+    /// the interpreter, and still two-gram windows over several
+    /// channels and classes.
+    const HANDOFF_PARAMS: AccelParams = AccelParams {
+        n_words: 2,
+        channels: 3,
+        ngram: 2,
+        classes: 3,
+        levels: 4,
+    };
+
+    /// The borrow-erased `RawWindows` handoff, walked at a Miri-sized
+    /// batch: a 2-participant session ships the second chunk to its real
+    /// worker thread whatever the host's (or Miri's) CPU count, and the
+    /// spliced verdicts must still match golden.
+    #[test]
+    fn classify_handoff_is_sound_and_exact() {
+        let params = HANDOFF_PARAMS;
+        let model = HdModel::random(&params, 0x00D1_5EED);
+        let batch = random_windows(&params, params.ngram, 2 * MIN_WINDOWS_PER_WORKER, 5);
+        let expected = GoldenBackend
+            .prepare(&model)
+            .unwrap()
+            .classify_batch(&batch)
             .unwrap();
-        // The worker unwound without reporting.
-        assert!(done_rx.recv().is_err());
-        assert_eq!(session.caught.load(Ordering::Relaxed), 0);
-        let batch = random_windows(&params, 3, 2 * MIN_WINDOWS_PER_WORKER, 56);
-        let expected = golden.classify_batch(&batch).unwrap();
-        // The dying worker's job channel closes only once its unwind
-        // finishes; until then a dispatched chunk surfaces as the typed
-        // WorkerLost (never a hang, never a process panic), after which
-        // every batch falls back inline.
-        let verdicts = loop {
-            match session.classify_batch(&batch) {
-                Ok(v) => break v,
-                Err(e) => {
-                    assert!(matches!(e, BackendError::WorkerLost { .. }), "{e}");
-                    std::thread::yield_now();
-                }
-            }
-        };
-        assert_eq!(verdicts, expected);
+        let mut session = FastBackend::with_threads(2)
+            .prepare_with_participants(&model, 2)
+            .unwrap();
+        assert_eq!(session.fan_out(batch.len()), 2, "must reach the worker");
+        assert_eq!(session.classify_batch(&batch).unwrap(), expected);
+    }
+
+    /// The `RawWindows` + `RawLabels` handoff of batch training, walked
+    /// the same way: the worker's counter partials merge into prototypes
+    /// bit-identical to golden training.
+    #[test]
+    fn training_handoff_is_sound_and_exact() {
+        use crate::backend::TrainableBackend as _;
+        let params = HANDOFF_PARAMS;
+        let spec = TrainSpec::random(&params, 42);
+        let count = 2 * MIN_WINDOWS_PER_WORKER;
+        let batch = random_windows(&params, params.ngram, count, 0x7EAC_0DE5);
+        let labels: Vec<usize> = (0..count).map(|i| i % params.classes).collect();
+        let mut golden = GoldenBackend.begin_training(&spec).unwrap();
+        golden.train_batch(&batch, &labels).unwrap();
+        let mut session = FastBackend::with_threads(2)
+            .begin_training_with_participants(&spec, 2)
+            .unwrap();
+        assert_eq!(
+            fan_out_for(&session.pool, count, MIN_WINDOWS_PER_WORKER),
+            2,
+            "must reach the worker"
+        );
+        session.train_batch(&batch, &labels).unwrap();
+        assert_eq!(
+            session.finalize().unwrap().prototypes(),
+            golden.finalize().unwrap().prototypes()
+        );
     }
 
     /// The adaptive cutover: small batches stay inline, large batches
@@ -2583,7 +2562,7 @@ mod tests {
 
     /// One-prototype sessions silently fall back to the full scan: the
     /// degenerate case where pruning (and threshold acceptance) have
-    /// nothing to skip — the class-sharded one-class-per-shard regime.
+    /// nothing to skip, so a one-class model's verdicts stay exact.
     #[test]
     fn single_prototype_sessions_scan_full_whatever_the_policy() {
         let params = AccelParams {

@@ -4,19 +4,17 @@
 //! rare by construction — so [`FaultBackend`] wraps an inner
 //! [`ExecutionBackend`] / [`TrainableBackend`] and injects failures on a
 //! fixed, seeded-in-advance schedule: a typed error on the nth call, a
-//! panic on the nth call (to exercise the containment in
-//! [`fast`](super::fast) / [`sharded`](super::sharded) and the serve
-//! layer), or an injected latency (to trip serve-side deadlines).
+//! panic on the nth call (to exercise the containment of the serve
+//! layer, which retries the batch and keeps serving), or an injected
+//! latency (to trip serve-side deadlines).
 //!
 //! The schedule is a [`FaultPlan`]: a list of `(session, call, kind)`
 //! entries. Sessions are numbered in [`prepare`](ExecutionBackend::prepare)
-//! order across the backend value and its clones — which makes shard
-//! targeting deterministic, because [`ShardedBackend`](super::ShardedBackend)
-//! prepares its inner sessions in shard order: with
-//! `ShardedBackend::new(FaultBackend::new(inner, plan), spec)`, session
-//! index `k` *is* shard `k`. Calls are numbered per session, one per
-//! `classify` / `classify_batch` / `classify_batch_into` (or `train` /
-//! `train_batch` / `update_online` on a training session), starting at 0.
+//! order across the backend value and its clones, so a plan can target
+//! the *k*-th session a test prepares. Calls are numbered per session,
+//! one per `classify` / `classify_batch` / `classify_batch_into` (or
+//! `train` / `train_batch` / `update_online` on a training session),
+//! starting at 0.
 //!
 //! Injected panics carry the literal text `"injected fault"` so test
 //! panic hooks can silence exactly them and nothing else.
@@ -128,8 +126,7 @@ impl FaultPlan {
     }
 
     /// Schedules `kind` on call `call` of session `session` only
-    /// (sessions are numbered in `prepare` order; under a sharded
-    /// wrapper that is the shard index).
+    /// (sessions are numbered in `prepare` order).
     #[must_use]
     pub fn fault_on(mut self, session: usize, call: u64, kind: FaultKind) -> Self {
         self.entries.push(FaultEntry {
@@ -168,9 +165,9 @@ impl FaultPlan {
 pub struct FaultBackend<B> {
     inner: B,
     plan: Arc<FaultPlan>,
-    /// Next session index, shared across clones so shard targeting
+    /// Next session index, shared across clones so session targeting
     /// stays deterministic when the backend descriptor is copied into
-    /// worker threads.
+    /// other threads.
     next_session: Arc<AtomicUsize>,
 }
 

@@ -40,11 +40,12 @@
 //! random EMG windows and random chain shapes (the pruned scan is
 //! additionally pinned to preserve class, query, and winning distance).
 //!
-//! On top of the three substrates, [`ShardedBackend`] fans one workload
-//! out across **N inner sessions** of any backend — batch-sharding for
-//! throughput or class-sharding of the associative memory for large-AM
-//! latency, both with merged verdicts bit-identical to the unsharded
-//! session (see [`sharded`]).
+//! Parallelism lives in one place: the [`FastBackend`] session's flat
+//! worker pool, the host analogue of the paper's one team of cores
+//! splitting a batch over one shared memory. Every pool job runs with
+//! its panics contained, so a worker panic fails only the affected
+//! batch with a typed [`BackendError::WorkerLost`] and the same pool
+//! serves the next one.
 //!
 //! ## Training through the same seam
 //!
@@ -91,7 +92,6 @@ pub mod fast;
 pub mod fault;
 pub mod golden;
 mod pool;
-pub mod sharded;
 
 pub use accel::AccelBackend;
 pub use fast::{ApproxMonitor, ApproxPolicy, FastBackend, ScanPolicy};
@@ -101,7 +101,6 @@ pub use golden::GoldenBackend;
 /// particular) can name the query hypervector type carried by
 /// [`Verdict`] without depending on `hdc` directly.
 pub use hdc::BinaryHv;
-pub use sharded::{ShardMonitor, ShardSpec, ShardedBackend, ShardedSession};
 
 use hdc::rng::derive_seed;
 use hdc::{ContinuousItemMemory, HdClassifier, HdConfig, ItemMemory};
@@ -504,17 +503,6 @@ pub enum BackendError {
         /// The panic payload, stringified.
         panic: String,
     },
-    /// A class-sharded associative-memory shard died. Its class slice is
-    /// unavailable and the session cannot degrade without silently
-    /// dropping classes, so every subsequent classification on the
-    /// session reports the loss instead (batch-sharded sessions degrade
-    /// by rerouting across survivors and never raise this).
-    ShardLost {
-        /// Index of the lost shard.
-        shard: usize,
-        /// The panic payload that killed it, stringified.
-        panic: String,
-    },
     /// A deterministic fault injected by
     /// [`FaultBackend`](fault::FaultBackend) — only ever seen in chaos
     /// testing.
@@ -533,9 +521,6 @@ impl core::fmt::Display for BackendError {
             Self::Chain(e) => write!(f, "chain: {e}"),
             Self::WorkerLost { chunk, panic } => {
                 write!(f, "worker lost on batch chunk {chunk}: {panic}")
-            }
-            Self::ShardLost { shard, panic } => {
-                write!(f, "class shard {shard} lost: {panic}")
             }
             Self::Injected { call } => write!(f, "injected fault at call {call}"),
         }
@@ -596,8 +581,7 @@ pub trait ExecutionBackend {
     /// combination with [`BackendError::Config`] naming the backend —
     /// an honest failure instead of silently serving exact verdicts
     /// under an approximate label. [`FastBackend`] overrides it to
-    /// honor both knobs; [`ShardedBackend`] needs no override because
-    /// the knobs belong on the inner backend it wraps.
+    /// honor both knobs.
     ///
     /// # Errors
     ///
@@ -687,7 +671,7 @@ pub trait BackendSession: Send {
     ///
     /// The serving front-end grabs this before moving the session onto
     /// its batcher thread and surfaces the counters through
-    /// `ServerStats`, mirroring the [`ShardMonitor`] pattern.
+    /// `ServerStats`.
     fn approx_monitor(&self) -> Option<ApproxMonitor> {
         None
     }

@@ -1,18 +1,13 @@
-//! Shared batch-dispatch machinery: the persistent worker pool, the
-//! raw-slice batch smuggling types, and the unwind guard that makes the
-//! smuggling sound.
+//! Batch-dispatch machinery: the persistent worker pool, the raw-slice
+//! batch smuggling types, and the unwind guard that makes the smuggling
+//! sound.
 //!
-//! Two dispatchers use this module with the same contract:
-//!
-//! * [`fast`](super::fast) fans chunks of one batch across the threads
-//!   of a single session's pool;
-//! * [`sharded`](super::sharded) fans whole sub-batches (or whole
-//!   batches, under class-sharding) across per-shard sessions.
-//!
-//! The contract is always the same: the dispatching frame keeps a
-//! [`ResultDrain`] guard alive from the first dispatch until every
-//! dispatched job has reported back — on the happy path *and* during
-//! unwinding — so the borrowed slices behind [`RawWindows`] /
+//! One dispatcher uses this module: [`fast`](super::fast), which fans
+//! chunks of one batch (classification or training) across the threads
+//! of a single session's pool. Its contract: the dispatching frame
+//! keeps a [`ResultDrain`] guard alive from the first dispatch until
+//! every dispatched job has reported back — on the happy path *and*
+//! during unwinding — so the borrowed slices behind [`RawWindows`] /
 //! [`RawLabels`] strictly outlive all worker accesses.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -39,9 +34,8 @@ pub(super) fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 /// turn the `Err` into a typed [`BackendError::WorkerLost`].
 ///
 /// `AssertUnwindSafe` is justified at every call site by construction:
-/// on `Err`, the caller either rebuilds the state the closure touched
-/// (a worker's scratch arena) or permanently stops routing work to it
-/// (a shard session marked lost).
+/// on `Err`, the caller rebuilds the state the closure touched (a
+/// worker's scratch arena and query cache) before the next job.
 pub(super) fn contain<R>(f: impl FnOnce() -> R) -> Result<R, String> {
     catch_unwind(AssertUnwindSafe(f)).map_err(|p| panic_text(p.as_ref()))
 }
@@ -171,10 +165,10 @@ impl<T> Drop for ResultDrain<'_, T> {
 }
 
 /// A session's persistent worker pool: long-lived threads, one job
-/// channel and one private worker state (scratch arena, partial
-/// counters, a whole shard session) each, generic over the job type it
-/// serves. Spawned once at session construction; dropped (channels
-/// closed, threads joined) with the session.
+/// channel and one private worker state (scratch arena, query cache)
+/// each, generic over the job type it serves. Spawned once at session
+/// construction; dropped (channels closed, threads joined) with the
+/// session.
 pub(super) struct WorkerPool<J: Send + 'static> {
     pub(super) senders: Vec<Sender<J>>,
     handles: Vec<JoinHandle<()>>,
@@ -182,18 +176,18 @@ pub(super) struct WorkerPool<J: Send + 'static> {
 
 impl<J: Send + 'static> WorkerPool<J> {
     /// Spawns `workers` threads, each running the job handler built by
-    /// one `make_worker(index)` call (the builder runs on the spawning
+    /// one `make_worker()` call (the builder runs on the spawning
     /// thread, so it can move per-worker state — a scratch arena, a
-    /// shard's session — into the handler it returns).
+    /// query cache — into the handler it returns).
     pub(super) fn spawn<W, F>(workers: usize, mut make_worker: F) -> Self
     where
         W: FnMut(J) + Send + 'static,
-        F: FnMut(usize) -> W,
+        F: FnMut() -> W,
     {
         let mut senders = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
-        for idx in 0..workers {
-            let mut work = make_worker(idx);
+        for _ in 0..workers {
+            let mut work = make_worker();
             let (tx, rx): (Sender<J>, Receiver<J>) = channel();
             handles.push(std::thread::spawn(move || {
                 while let Ok(job) = rx.recv() {

@@ -1,54 +1,28 @@
 //! Seeded fault-injection: the chaos suite for the backend layer.
 //!
 //! Every test wires a [`FaultBackend`] with a deterministic
-//! [`FaultPlan`] under a [`ShardedBackend`] and asserts the three
-//! robustness properties the fault-tolerance layer promises:
+//! [`FaultPlan`] over the [`FastBackend`] and asserts the two
+//! robustness properties the backend layer promises:
 //!
 //! 1. an injected failure surfaces as a *typed* error on exactly the
 //!    affected call — never a process abort, never a hang;
 //! 2. the session keeps serving afterwards, and every verdict it
-//!    produces in degraded mode is bit-identical to an unsharded
-//!    golden session over the same model;
-//! 3. health is visible: the [`ShardMonitor`] reports the loss.
+//!    produces is bit-identical to a golden session over the same
+//!    model.
 //!
-//! The whole binary also runs under `PULP_HD_FORCE_SCALAR=1` in CI, and
-//! one test sweeps [`Simd::set_active`] explicitly, so containment and
-//! rerouting are pinned on both kernel levels.
+//! Panics inside the worker pool are contained by the fast backend
+//! itself (its `contained_*` unit tests pin that on every SIMD level);
+//! panics on the calling thread are contained by the serving front-end
+//! (`crates/serve/tests/chaos.rs`). The whole binary also runs under
+//! `PULP_HD_FORCE_SCALAR=1` in CI.
 
 use hdc::rng::Xoshiro256PlusPlus;
-use hdc::Simd;
+use pulp_hd_core::backend::fast::MIN_WINDOWS_PER_WORKER;
 use pulp_hd_core::backend::{
-    BackendError, BackendSession, ExecutionBackend, FastBackend, FaultBackend, FaultKind,
-    FaultPlan, GoldenBackend, HdModel, ShardSpec, ShardedBackend, ShardedSession, Verdict,
+    BackendError, ExecutionBackend, FastBackend, FaultBackend, FaultKind, FaultPlan, GoldenBackend,
+    HdModel, Verdict,
 };
 use pulp_hd_core::layout::AccelParams;
-
-/// Mirrors `MIN_WINDOWS_PER_WORKER` in the dispatch layer: batches of
-/// `4 × this` are guaranteed to fan out across two shards.
-const MIN_PER_SHARD: usize = 8;
-
-/// Silences the *expected* panics this suite injects (their messages
-/// carry the literal `"injected fault"`) so worker threads stop
-/// spamming stderr, while anything unexpected still reaches the
-/// previous hook. Installed once per binary; safe under parallel tests.
-fn silence_expected_panics() {
-    use std::sync::Once;
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let payload = info.payload();
-            let message = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("");
-            if !message.contains("injected fault") {
-                previous(info);
-            }
-        }));
-    });
-}
 
 fn params() -> AccelParams {
     AccelParams {
@@ -78,167 +52,39 @@ fn random_windows(
         .collect()
 }
 
-/// A chaos-wrapped sharded session plus the golden verdicts it must
-/// keep matching in degraded mode.
-fn chaos_session(model: &HdModel, spec: ShardSpec, plan: FaultPlan) -> ShardedSession {
-    ShardedBackend::new(FaultBackend::new(FastBackend::with_threads(1), plan), spec)
-        .unwrap()
-        .prepare_sharded(model)
-        .unwrap()
-}
-
 fn golden_verdicts(model: &HdModel, windows: &[Vec<Vec<u16>>]) -> Vec<Verdict> {
     let mut direct = GoldenBackend.prepare(model).unwrap();
     direct.classify_batch(windows).unwrap()
 }
 
-/// A batch-shard worker panic fails exactly the batch it was serving
-/// with [`BackendError::WorkerLost`] (output rolled back), marks the
-/// shard unhealthy, and every subsequent batch reroutes across the
-/// survivors bit-identically to an unsharded golden session.
+/// An injected *error* (no unwind) fails exactly the one batch it was
+/// scheduled on with the typed [`BackendError::Injected`] and leaves the
+/// session and its worker pool untouched: the very next batch, big
+/// enough to fan out, is bit-exact again.
 #[test]
 #[cfg_attr(miri, ignore = "fault-injection timing and OS threads")]
-fn batch_shard_panic_degrades_to_survivors_bit_identically() {
-    silence_expected_panics();
+fn injected_error_fails_one_batch_and_spares_the_session() {
     let params = params();
-    let model = HdModel::random(&params, 0xC4A0);
-    let windows = random_windows(&params, 3, 4 * MIN_PER_SHARD, 0xBEEF);
+    let model = HdModel::random(&params, 0xC4A2);
+    let windows = random_windows(&params, 3, 4 * MIN_WINDOWS_PER_WORKER, 0xD00D);
     let expected = golden_verdicts(&model, &windows);
 
-    // Session index = shard index under `ShardedBackend`; panic shard
-    // 1's first batch call.
-    let plan = FaultPlan::new().fault_on(1, 0, FaultKind::Panic);
-    let mut session = chaos_session(&model, ShardSpec::Batch(2), plan);
-    let monitor = session.monitor();
+    let plan = FaultPlan::new().fault_at(0, FaultKind::Error);
+    let chaos = FaultBackend::new(FastBackend::with_threads(2), plan);
+    let mut session = chaos.prepare(&model).unwrap();
 
     let mut out = Vec::new();
     let err = session.classify_batch_into(&windows, &mut out).unwrap_err();
-    match err {
-        BackendError::WorkerLost { chunk, panic } => {
-            assert_eq!(chunk, 1, "the panicking shard served chunk 1");
-            assert!(panic.contains("injected fault"), "{panic}");
-        }
-        other => panic!("expected WorkerLost, got {other}"),
-    }
-    assert!(out.is_empty(), "failed batch must roll back its output");
-    assert_eq!(monitor.healthy(), vec![true, false]);
-    assert_eq!(monitor.healthy_shards(), 1);
-
-    // Degraded mode: the primary serves everything alone, bit-exactly.
-    assert_eq!(session.classify_batch(&windows).unwrap(), expected);
-    assert_eq!(session.classify(&windows[0]).unwrap(), expected[0]);
-    // Health never silently recovers.
-    assert_eq!(monitor.healthy(), vec![true, false]);
-}
-
-/// A class-shard loss cannot degrade (its slice of the associative
-/// memory is gone), so it is a *permanent* typed [`ShardLost`]: the
-/// failing call and every call after it report the same loss.
-#[test]
-#[cfg_attr(miri, ignore = "fault-injection timing and OS threads")]
-fn class_shard_panic_is_a_permanent_typed_loss() {
-    silence_expected_panics();
-    let params = params();
-    let model = HdModel::random(&params, 0xC4A1);
-    let windows = random_windows(&params, 3, 6, 0xCAFE);
-
-    let plan = FaultPlan::new().fault_on(1, 0, FaultKind::Panic);
-    let mut session = chaos_session(&model, ShardSpec::Class(2), plan);
-    let monitor = session.monitor();
-
-    let err = session.classify_batch(&windows).unwrap_err();
-    assert!(
-        matches!(err, BackendError::ShardLost { shard: 1, ref panic } if panic.contains("injected fault")),
-        "{err}"
-    );
-    assert_eq!(monitor.healthy(), vec![true, false]);
-
-    // The loss is sticky: later batches and single windows keep
-    // reporting it instead of silently dropping classes.
-    for _ in 0..2 {
-        assert!(matches!(
-            session.classify_batch(&windows),
-            Err(BackendError::ShardLost { shard: 1, .. })
-        ));
-    }
-    assert!(matches!(
-        session.classify(&windows[0]),
-        Err(BackendError::ShardLost { shard: 1, .. })
-    ));
-}
-
-/// An injected *error* (no unwind) fails its batch with the typed
-/// [`BackendError::Injected`] but leaves the shard healthy — the very
-/// next batch fans out across all shards again and stays bit-exact.
-#[test]
-#[cfg_attr(miri, ignore = "fault-injection timing and OS threads")]
-fn injected_error_fails_one_batch_and_spares_the_shard() {
-    let params = params();
-    let model = HdModel::random(&params, 0xC4A2);
-    let windows = random_windows(&params, 3, 4 * MIN_PER_SHARD, 0xD00D);
-    let expected = golden_verdicts(&model, &windows);
-
-    let plan = FaultPlan::new().fault_on(1, 0, FaultKind::Error);
-    let mut session = chaos_session(&model, ShardSpec::Batch(2), plan);
-    let monitor = session.monitor();
-
-    let err = session.classify_batch(&windows).unwrap_err();
     assert!(matches!(err, BackendError::Injected { call: 0 }), "{err}");
-    assert_eq!(
-        monitor.healthy(),
-        vec![true, true],
-        "a plain error must not poison the shard"
-    );
+    assert!(out.is_empty(), "a failed batch leaves the output untouched");
 
-    assert_eq!(session.classify_batch(&windows).unwrap(), expected);
-    // Both shards took traffic on the healthy retry.
-    assert!(monitor.windows().iter().all(|&w| w > 0));
-}
-
-/// The fault schedule and the degraded-mode rerouting are deterministic
-/// on every kernel level: the same plan fires on the same call and the
-/// surviving shards produce bit-identical verdicts under AVX2 and the
-/// portable scalar path alike.
-#[test]
-#[cfg_attr(miri, ignore = "fault-injection timing and OS threads")]
-fn degraded_serving_is_bit_identical_on_every_simd_level() {
-    silence_expected_panics();
-    let params = params();
-    let model = HdModel::random(&params, 0xC4A3);
-    let windows = random_windows(&params, 3, 4 * MIN_PER_SHARD, 0xF00D);
-    let expected = golden_verdicts(&model, &windows);
-
-    let restore = Simd::active();
-    let levels: &[Simd] = {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if Simd::detect() == Simd::Avx2 {
-                &[Simd::Portable, Simd::Avx2]
-            } else {
-                &[Simd::Portable]
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            &[Simd::Portable]
-        }
-    };
-    for &level in levels {
-        Simd::set_active(level);
-        let plan = FaultPlan::new().fault_on(1, 0, FaultKind::Panic);
-        let mut session = chaos_session(&model, ShardSpec::Batch(2), plan);
-        let err = session.classify_batch(&windows).unwrap_err();
-        assert!(
-            matches!(err, BackendError::WorkerLost { chunk: 1, .. }),
-            "{level:?}: {err}"
-        );
+    for call in 1..3 {
         assert_eq!(
             session.classify_batch(&windows).unwrap(),
             expected,
-            "{level:?}: degraded verdicts must not depend on the kernel level"
+            "call {call}: the batch after the fault must be bit-exact"
         );
     }
-    Simd::set_active(restore);
 }
 
 /// Injected latency delays a call without corrupting it — the backend

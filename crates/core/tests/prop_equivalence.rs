@@ -14,10 +14,10 @@
 //! index.
 
 use hdc::rng::Xoshiro256PlusPlus;
-use hdc::{BinaryHv, Simd};
+use hdc::Simd;
 use pulp_hd_core::backend::{
     AccelBackend, ApproxPolicy, ExecutionBackend, FastBackend, GoldenBackend, HdModel, ScanPolicy,
-    ShardSpec, ShardedBackend, TrainSpec, TrainableBackend, VerdictSource,
+    TrainSpec, TrainableBackend, VerdictSource,
 };
 use pulp_hd_core::layout::AccelParams;
 use pulp_hd_core::platform::Platform;
@@ -36,7 +36,7 @@ fn platform_for(selector: u8) -> Platform {
 #[test]
 #[cfg_attr(
     miri,
-    ignore = "heavy cross-backend sweep; miri_smoke covers the unsafe handoff"
+    ignore = "heavy cross-backend sweep; the fast backend's handoff tests cover the unsafe handoff"
 )]
 fn all_backends_agree_across_random_configurations() {
     let mut rng = Xoshiro256PlusPlus::seed_from_u64(0x0E01_11A1_E5CE_57A7);
@@ -93,7 +93,7 @@ fn all_backends_agree_across_random_configurations() {
 #[test]
 #[cfg_attr(
     miri,
-    ignore = "heavy cross-backend sweep; miri_smoke covers the unsafe handoff"
+    ignore = "heavy cross-backend sweep; the fast backend's handoff tests cover the unsafe handoff"
 )]
 fn host_backends_agree_on_sliding_window_batches() {
     let mut rng = Xoshiro256PlusPlus::seed_from_u64(0xBA7C_4E55);
@@ -140,7 +140,7 @@ fn host_backends_agree_on_sliding_window_batches() {
 #[test]
 #[cfg_attr(
     miri,
-    ignore = "heavy cross-backend sweep; miri_smoke covers the unsafe handoff"
+    ignore = "heavy cross-backend sweep; the fast backend's handoff tests cover the unsafe handoff"
 )]
 fn training_agrees_across_backends_and_simd_levels() {
     let detected = Simd::detect();
@@ -220,226 +220,6 @@ fn training_agrees_across_backends_and_simd_levels() {
     Simd::set_active(Simd::detect());
 }
 
-/// Sharded equivalence across random configurations **and SIMD kernel
-/// levels**: for random chain shapes, shard counts (including ragged
-/// class splits and more shards than classes), and batch sizes, both
-/// sharding strategies produce verdicts bit-identical to the unsharded
-/// golden session — distances, query, class, the lot.
-#[test]
-#[cfg_attr(
-    miri,
-    ignore = "heavy cross-backend sweep; miri_smoke covers the unsafe handoff"
-)]
-fn sharded_verdicts_agree_with_golden_across_strategies_and_simd_levels() {
-    let detected = Simd::detect();
-    let mut levels = vec![Simd::Portable];
-    if detected != Simd::Portable {
-        levels.push(detected);
-    }
-    for level in levels {
-        Simd::set_active(level);
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(0x5AA5_D0D0);
-        for case in 0..10 {
-            let params = AccelParams {
-                n_words: 1 + rng.next_below(24) as usize,
-                channels: 1 + rng.next_below(8) as usize,
-                ngram: 1 + rng.next_below(4) as usize,
-                classes: 2 + rng.next_below(6) as usize,
-                levels: 2 + rng.next_below(28) as usize,
-            };
-            let model = HdModel::random(&params, rng.next_u64());
-            let samples = params.ngram + rng.next_below(4) as usize;
-            let count = 1 + rng.next_below(40) as usize;
-            let windows: Vec<Vec<Vec<u16>>> = (0..count)
-                .map(|_| {
-                    (0..samples)
-                        .map(|_| {
-                            (0..params.channels)
-                                .map(|_| (rng.next_u32() & 0xffff) as u16)
-                                .collect()
-                        })
-                        .collect()
-                })
-                .collect();
-            let mut golden = GoldenBackend.prepare(&model).unwrap();
-            let expected = golden.classify_batch(&windows).unwrap();
-            let shards = 2 + rng.next_below(6) as usize;
-            for spec in [ShardSpec::Batch(shards), ShardSpec::Class(shards)] {
-                let backend = ShardedBackend::new(FastBackend::with_threads(2), spec).unwrap();
-                let mut session = backend.prepare(&model).unwrap();
-                let got = session.classify_batch(&windows).unwrap();
-                assert_eq!(
-                    got, expected,
-                    "{level:?} case {case} {spec:?} ({shards} shards, {count} windows) with {params:?}"
-                );
-            }
-        }
-    }
-    Simd::set_active(Simd::detect());
-}
-
-/// Tie-rigged class sharding: duplicate prototypes planted on *both
-/// sides of a shard boundary* force exact cross-shard distance ties, so
-/// the merge step's first-minimum order is exercised where it could
-/// actually diverge (the shard holding the higher class indices reports
-/// the same winning distance). The merged class must match golden's
-/// first-minimum argmin, under both SIMD levels.
-#[test]
-#[cfg_attr(
-    miri,
-    ignore = "heavy cross-backend sweep; miri_smoke covers the unsafe handoff"
-)]
-fn class_sharded_merge_preserves_first_minimum_on_cross_shard_ties() {
-    let detected = Simd::detect();
-    let mut levels = vec![Simd::Portable];
-    if detected != Simd::Portable {
-        levels.push(detected);
-    }
-    for level in levels {
-        Simd::set_active(level);
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(0x71E_BA12);
-        for case in 0..8 {
-            let params = AccelParams {
-                n_words: 1 + rng.next_below(16) as usize,
-                channels: 1 + rng.next_below(6) as usize,
-                ngram: 1 + rng.next_below(3) as usize,
-                classes: 6,
-                levels: 2 + rng.next_below(20) as usize,
-            };
-            let base = HdModel::random(&params, rng.next_u64());
-            // 3 shards of 2 classes each; copy one prototype across
-            // every shard boundary so distances tie exactly cross-shard.
-            let mut prototypes: Vec<BinaryHv> = base.prototypes().to_vec();
-            prototypes[2] = prototypes[1].clone(); // boundary shard 0 | 1
-            prototypes[5] = prototypes[0].clone(); // shard 2 ties shard 0
-            let model = HdModel::new(
-                base.cim().clone(),
-                base.im().clone(),
-                prototypes,
-                base.ngram(),
-            )
-            .unwrap();
-            let windows: Vec<Vec<Vec<u16>>> = (0..7)
-                .map(|_| {
-                    (0..params.ngram)
-                        .map(|_| {
-                            (0..params.channels)
-                                .map(|_| (rng.next_u32() & 0xffff) as u16)
-                                .collect()
-                        })
-                        .collect()
-                })
-                .collect();
-            let mut golden = GoldenBackend.prepare(&model).unwrap();
-            let expected = golden.classify_batch(&windows).unwrap();
-            for scan in [ScanPolicy::Full, ScanPolicy::Pruned] {
-                let backend = ShardedBackend::new(
-                    FastBackend::with_threads(1).with_scan(scan),
-                    ShardSpec::Class(3),
-                )
-                .unwrap();
-                let mut session = backend.prepare(&model).unwrap();
-                let got = session.classify_batch(&windows).unwrap();
-                for (i, (s, g)) in got.iter().zip(&expected).enumerate() {
-                    let ctx = format!("{level:?} case {case} {scan:?} window {i}");
-                    assert_eq!(s.class, g.class, "{ctx}: tie broken differently");
-                    assert_eq!(s.query, g.query, "{ctx}: query diverged");
-                    assert_eq!(
-                        s.distances[s.class], g.distances[g.class],
-                        "{ctx}: winning distance"
-                    );
-                    if scan == ScanPolicy::Full {
-                        assert_eq!(s.distances, g.distances, "{ctx}: distances");
-                    }
-                }
-            }
-        }
-    }
-    Simd::set_active(Simd::detect());
-}
-
-/// Sharded training reduces per-shard counter partials with the
-/// commutative `CounterBundler::merge`, so its prototypes — including
-/// on adversarially tie-rigged repeated-window streams — are
-/// bit-identical to sequential golden training, under both SIMD levels.
-#[test]
-#[cfg_attr(
-    miri,
-    ignore = "heavy cross-backend sweep; miri_smoke covers the unsafe handoff"
-)]
-fn sharded_training_agrees_with_golden_across_simd_levels() {
-    let detected = Simd::detect();
-    let mut levels = vec![Simd::Portable];
-    if detected != Simd::Portable {
-        levels.push(detected);
-    }
-    for level in levels {
-        Simd::set_active(level);
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(0x5D_7AA1);
-        for case in 0..6 {
-            let params = AccelParams {
-                n_words: 1 + rng.next_below(20) as usize,
-                channels: 1 + rng.next_below(6) as usize,
-                ngram: 1 + rng.next_below(3) as usize,
-                classes: 2 + rng.next_below(5) as usize,
-                levels: 2 + rng.next_below(20) as usize,
-            };
-            let spec = TrainSpec::random(&params, rng.next_u64());
-            let samples = params.ngram + rng.next_below(3) as usize;
-            // Repeated windows force exact counter ties through the
-            // seeded tie-break (as in the unsharded training test).
-            let pool: Vec<Vec<Vec<u16>>> = (0..4)
-                .map(|_| {
-                    (0..samples)
-                        .map(|_| {
-                            (0..params.channels)
-                                .map(|_| (rng.next_u32() & 0xffff) as u16)
-                                .collect()
-                        })
-                        .collect()
-                })
-                .collect();
-            let count = 40 + rng.next_below(25) as usize;
-            let windows: Vec<Vec<Vec<u16>>> = (0..count)
-                .map(|_| pool[rng.next_below(4) as usize].clone())
-                .collect();
-            let labels: Vec<usize> = (0..count)
-                .map(|_| rng.next_below(params.classes as u32) as usize)
-                .collect();
-
-            let shards = 2 + rng.next_below(3) as usize;
-            let backend =
-                ShardedBackend::new(FastBackend::with_threads(2), ShardSpec::Batch(shards))
-                    .unwrap();
-            let mut golden = GoldenBackend.begin_training(&spec).unwrap();
-            let mut sharded = backend.begin_training(&spec).unwrap();
-            golden.train_batch(&windows, &labels).unwrap();
-            sharded.train_batch(&windows, &labels).unwrap();
-            let ctx = format!("{level:?} case {case} ({shards} shards) with {params:?}");
-            assert_eq!(
-                sharded.finalize().unwrap().prototypes(),
-                golden.finalize().unwrap().prototypes(),
-                "{ctx}: sharded training diverged from sequential golden"
-            );
-            for (i, (w, &l)) in windows.iter().zip(&labels).take(5).enumerate() {
-                assert_eq!(
-                    sharded.update_online(w, l).unwrap(),
-                    golden.update_online(w, l).unwrap(),
-                    "{ctx}: online update {i}"
-                );
-            }
-            let mut g_serve = golden.into_serving().unwrap();
-            let mut s_serve = sharded.into_serving().unwrap();
-            assert_eq!(
-                s_serve.classify_batch(&pool).unwrap(),
-                g_serve.classify_batch(&pool).unwrap(),
-                "{ctx}: served verdicts diverged"
-            );
-        }
-    }
-    Simd::set_active(Simd::detect());
-}
-
 /// The pruned-scan fast backend preserves everything the early exit can
 /// possibly preserve across random chain shapes: the predicted class
 /// (including first-minimum tie order), the query hypervector, and the
@@ -449,7 +229,7 @@ fn sharded_training_agrees_with_golden_across_simd_levels() {
 #[test]
 #[cfg_attr(
     miri,
-    ignore = "heavy cross-backend sweep; miri_smoke covers the unsafe handoff"
+    ignore = "heavy cross-backend sweep; the fast backend's handoff tests cover the unsafe handoff"
 )]
 fn pruned_fast_backend_agrees_with_golden_on_class_and_query() {
     let mut rng = Xoshiro256PlusPlus::seed_from_u64(0x5CA4_EE17);
@@ -510,7 +290,7 @@ fn pruned_fast_backend_agrees_with_golden_on_class_and_query() {
 #[test]
 #[cfg_attr(
     miri,
-    ignore = "heavy cross-backend sweep; miri_smoke covers the unsafe handoff"
+    ignore = "heavy cross-backend sweep; the fast backend's handoff tests cover the unsafe handoff"
 )]
 fn exact_policy_stays_bit_identical_to_golden_across_simd_levels() {
     let detected = Simd::detect();
@@ -573,7 +353,7 @@ fn exact_policy_stays_bit_identical_to_golden_across_simd_levels() {
 #[test]
 #[cfg_attr(
     miri,
-    ignore = "heavy cross-backend sweep; miri_smoke covers the unsafe handoff"
+    ignore = "heavy cross-backend sweep; the fast backend's handoff tests cover the unsafe handoff"
 )]
 fn exact_policy_survives_the_training_handoff() {
     let mut rng = Xoshiro256PlusPlus::seed_from_u64(0x5E_4DE);

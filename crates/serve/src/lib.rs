@@ -94,7 +94,7 @@ use std::time::{Duration, Instant};
 
 use pulp_hd_core::backend::{
     ApproxMonitor, ApproxPolicy, BackendError, BackendSession, ExecutionBackend, HdModel,
-    ScanPolicy, ShardMonitor, TrainingSession, Verdict,
+    ScanPolicy, TrainingSession, Verdict,
 };
 
 use stats::Recorder;
@@ -136,8 +136,8 @@ use stats::Recorder;
 /// * **`worker_lost_retries`** bounds how often one batch is retried
 ///   after a [`WorkerLost`](BackendError::WorkerLost) failure (a
 ///   contained worker panic). Retrying is safe — a failed batch rolls
-///   back — and usually succeeds, because the backend has already
-///   rerouted around the lost worker by the time the retry runs.
+///   back — and usually succeeds, because a contained worker rebuilds
+///   its state and serves the retry like any other batch.
 /// * **`retry_backoff`** is slept between those attempts.
 ///
 /// The engine knobs pass straight through to the backend when the
@@ -325,9 +325,6 @@ pub struct Server {
     tx: SyncSender<Request>,
     shared: Arc<Shared>,
     handle: Option<JoinHandle<()>>,
-    /// Per-shard traffic counters, when the served session is a
-    /// `ShardedSession` and the caller registered its monitor.
-    monitor: Option<ShardMonitor>,
     /// Query-cache counters, when the served session was prepared with
     /// a caching [`ApproxPolicy`] (grabbed from the session before it
     /// moves onto the batcher thread).
@@ -413,7 +410,6 @@ impl Server {
             tx,
             shared,
             handle: Some(handle),
-            monitor: None,
             approx_monitor,
         })
     }
@@ -429,33 +425,6 @@ impl Server {
         config: ServeConfig,
     ) -> Result<Self, ServeError> {
         Self::from_session(session, config)
-    }
-
-    /// Registers the per-shard traffic counters of a served
-    /// [`ShardedSession`](pulp_hd_core::backend::ShardedSession):
-    /// subsequent [`stats`](Self::stats) snapshots fill
-    /// [`ServerStats::shard_windows`] from it, giving the serving layer
-    /// per-shard visibility without touching the session mid-flight.
-    ///
-    /// ```
-    /// # use pulp_hd_core::backend::{HdModel, ShardSpec, ShardedBackend};
-    /// # use pulp_hd_core::layout::AccelParams;
-    /// # use pulp_hd_serve::{ServeConfig, Server};
-    /// # let params = AccelParams { n_words: 16, ..AccelParams::emg_default() };
-    /// # let model = HdModel::random(&params, 7);
-    /// let backend = ShardedBackend::fast(ShardSpec::Batch(2))?;
-    /// let session = backend.prepare_sharded(&model)?;
-    /// let monitor = session.monitor();
-    /// let server = Server::from_session(Box::new(session), ServeConfig::default())?
-    ///     .with_shard_monitor(monitor);
-    /// assert_eq!(server.stats().shard_windows.len(), 2);
-    /// # drop(server.shutdown());
-    /// # Ok::<(), Box<dyn std::error::Error>>(())
-    /// ```
-    #[must_use]
-    pub fn with_shard_monitor(mut self, monitor: ShardMonitor) -> Self {
-        self.monitor = Some(monitor);
-        self
     }
 
     /// Finalizes a training session and serves the trained model on its
@@ -486,19 +455,12 @@ impl Server {
     }
 
     /// A snapshot of the server's telemetry, without stopping traffic.
-    /// When a [`ShardMonitor`] is registered
-    /// ([`with_shard_monitor`](Self::with_shard_monitor)), the snapshot
-    /// includes the windows served per shard and each shard's health.
     /// When the served session carries a query cache (a caching
     /// [`ApproxPolicy`]), the snapshot includes its hit/miss/eviction
     /// counters.
     #[must_use]
     pub fn stats(&self) -> ServerStats {
         let mut stats = self.shared.recorder.snapshot(self.shared.started.elapsed());
-        if let Some(monitor) = &self.monitor {
-            stats.shard_windows = monitor.windows();
-            stats.shard_healthy = monitor.healthy();
-        }
         if let Some(approx) = &self.approx_monitor {
             stats.cache_hits = approx.hits();
             stats.cache_misses = approx.misses();
@@ -973,9 +935,9 @@ fn serve_batch(
     // on error, and a contained panic discards the buffer anyway).
     // Worker-loss failures — a contained worker panic inside the
     // backend, or a panic on this thread contained right here — are
-    // transient-by-design (the backend reroutes around the lost worker),
-    // so they get `worker_lost_retries` fresh attempts before the
-    // per-window fallback.
+    // transient-by-design (a contained worker rebuilds its state and
+    // keeps serving), so they get `worker_lost_retries` fresh attempts
+    // before the per-window fallback.
     let mut attempt = 0;
     let batch_result = loop {
         verdicts.clear();

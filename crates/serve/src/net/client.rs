@@ -189,7 +189,7 @@ impl NetClient {
     }
 
     /// Fetches the server's full [`ServerStats`] snapshot over the
-    /// wire (including shard health and cache counters).
+    /// wire (including the fault and cache counters).
     ///
     /// # Errors
     ///
@@ -205,8 +205,7 @@ impl NetClient {
         }
     }
 
-    /// Probes liveness and per-shard health — the load-balancer
-    /// health-check endpoint.
+    /// Probes liveness — the load-balancer health-check endpoint.
     ///
     /// # Errors
     ///

@@ -6,7 +6,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic        0x3144_484E ("NHD1" LE)
-//! 4       1     version      1
+//! 4       1     version      2
 //! 5       1     kind         request/response discriminant
 //! 6       2     reserved     must be 0
 //! 8       8     request_id   echoed verbatim in the response
@@ -29,8 +29,10 @@ use crate::ServerStats;
 
 /// Frame magic, little-endian `"NHD1"`.
 pub const MAGIC: u32 = 0x3144_484E;
-/// Protocol version carried in every header.
-pub const VERSION: u8 = 1;
+/// Protocol version carried in every header. Version 2 dropped the
+/// per-shard lists from the stats and health payloads; a version-1 peer
+/// is refused with [`WireError::BadVersion`].
+pub const VERSION: u8 = 2;
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 20;
 /// Default per-frame payload cap (4 MiB) — see
@@ -45,7 +47,7 @@ pub mod kind {
     pub const CLASSIFY_BATCH: u8 = 0x02;
     /// Snapshot the server's [`ServerStats`](crate::ServerStats).
     pub const STATS: u8 = 0x03;
-    /// Liveness + per-shard health probe.
+    /// Liveness probe.
     pub const HEALTH: u8 = 0x04;
     /// Response: one verdict.
     pub const R_VERDICT: u8 = 0x81;
@@ -154,7 +156,7 @@ pub enum Request {
     },
     /// Snapshot the server's stats.
     Stats,
-    /// Liveness + shard-health probe.
+    /// Liveness probe.
     Health,
 }
 
@@ -240,9 +242,6 @@ pub struct HealthReport {
     /// `true` while the server accepts new requests (flips to `false`
     /// when draining).
     pub serving: bool,
-    /// Per-shard health, as [`ServerStats::shard_healthy`] — empty when
-    /// the served session is unsharded or no monitor is registered.
-    pub shard_healthy: Vec<bool>,
 }
 
 /// A decoded response frame.
@@ -380,14 +379,6 @@ fn put_stats(out: &mut Vec<u8>, s: &ServerStats) {
     put_u64(out, s.deadline_expired);
     put_u64(out, s.retried_batches);
     put_u64(out, s.contained_panics);
-    put_u32(out, s.shard_windows.len() as u32);
-    for &w in &s.shard_windows {
-        put_u64(out, w);
-    }
-    put_u32(out, s.shard_healthy.len() as u32);
-    for &h in &s.shard_healthy {
-        out.push(u8::from(h));
-    }
     put_u64(out, s.cache_hits);
     put_u64(out, s.cache_misses);
     put_u64(out, s.cache_evictions);
@@ -430,10 +421,8 @@ pub(crate) fn response_len(resp: &Response) -> usize {
                     .map(|item| 1 + item.as_ref().map_or_else(fault_len, verdict_len))
                     .sum::<usize>()
             }
-            Response::Stats(s) => {
-                16 * 8 + 4 + 8 * s.shard_windows.len() + 4 + s.shard_healthy.len() + 3 * 8
-            }
-            Response::Health(h) => 1 + 4 + h.shard_healthy.len(),
+            Response::Stats(_) => 19 * 8,
+            Response::Health(_) => 1,
             Response::Error(fault) => fault_len(fault),
         }
 }
@@ -545,13 +534,7 @@ pub fn encode_response_into(out: &mut Vec<u8>, id: u64, resp: &Response) {
             }
         }
         Response::Stats(s) => put_stats(out, s),
-        Response::Health(h) => {
-            out.push(u8::from(h.serving));
-            put_u32(out, h.shard_healthy.len() as u32);
-            for &b in &h.shard_healthy {
-                out.push(u8::from(b));
-            }
-        }
+        Response::Health(h) => out.push(u8::from(h.serving)),
         Response::Error(fault) => put_fault(out, fault),
     }
     end_frame(out, start);
@@ -799,20 +782,6 @@ fn take_stats(cur: &mut Cur<'_>) -> Result<ServerStats, WireError> {
     let deadline_expired = cur.u64()?;
     let retried_batches = cur.u64()?;
     let contained_panics = cur.u64()?;
-    let n = cur.len(MAX_VEC, 8, "shard window count over cap")?;
-    let mut shard_windows = Vec::with_capacity(n);
-    for _ in 0..n {
-        shard_windows.push(cur.u64()?);
-    }
-    let n = cur.len(MAX_VEC, 1, "shard health count over cap")?;
-    let mut shard_healthy = Vec::with_capacity(n);
-    for _ in 0..n {
-        shard_healthy.push(match cur.u8()? {
-            0 => false,
-            1 => true,
-            _ => return Err(WireError::Malformed("bad shard health flag")),
-        });
-    }
     Ok(ServerStats {
         completed,
         rejected,
@@ -830,8 +799,6 @@ fn take_stats(cur: &mut Cur<'_>) -> Result<ServerStats, WireError> {
         deadline_expired,
         retried_batches,
         contained_panics,
-        shard_windows,
-        shard_healthy,
         cache_hits: cur.u64()?,
         cache_misses: cur.u64()?,
         cache_evictions: cur.u64()?,
@@ -915,19 +882,7 @@ pub fn decode_response(header: &FrameHeader, payload: &[u8]) -> Result<Response,
                 1 => true,
                 _ => return Err(WireError::Malformed("bad serving flag")),
             };
-            let n = cur.len(MAX_VEC, 1, "shard health count over cap")?;
-            let mut shard_healthy = Vec::with_capacity(n);
-            for _ in 0..n {
-                shard_healthy.push(match cur.u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(WireError::Malformed("bad shard health flag")),
-                });
-            }
-            Response::Health(HealthReport {
-                serving,
-                shard_healthy,
-            })
+            Response::Health(HealthReport { serving })
         }
         kind::R_ERROR => Response::Error(take_fault(&mut cur)?),
         other => return Err(WireError::UnknownKind(other)),

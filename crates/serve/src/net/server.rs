@@ -848,7 +848,6 @@ impl Admission<'_> {
             proto::Request::Health => {
                 let report = HealthReport {
                     serving: !shared.draining.load(Ordering::SeqCst),
-                    shard_healthy: server.stats().shard_healthy,
                 };
                 Reply::Frame(proto::encode_response(
                     header.id,
@@ -883,7 +882,6 @@ fn fault_of(e: &ServeError) -> WireFault {
             if matches!(
                 inner,
                 pulp_hd_core::backend::BackendError::WorkerLost { .. }
-                    | pulp_hd_core::backend::BackendError::ShardLost { .. }
             ) {
                 WireFault::new(ErrorCode::WorkerLost, inner.to_string())
             } else {

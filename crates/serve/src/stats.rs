@@ -192,8 +192,6 @@ impl Recorder {
             deadline_expired: self.deadline_expired.load(Ordering::Relaxed),
             retried_batches: self.retried_batches.load(Ordering::Relaxed),
             contained_panics: self.contained_panics.load(Ordering::Relaxed),
-            shard_windows: Vec::new(),
-            shard_healthy: Vec::new(),
             cache_hits: 0,
             cache_misses: 0,
             cache_evictions: 0,
@@ -252,22 +250,6 @@ pub struct ServerStats {
     /// surfaced as a typed per-request error instead of killing the
     /// server.
     pub contained_panics: u64,
-    /// Windows served per shard, indexed by shard — filled only when
-    /// the server serves a sharded session and its
-    /// [`ShardMonitor`](pulp_hd_core::backend::ShardMonitor) was
-    /// registered via `Server::with_shard_monitor`; empty otherwise.
-    /// (Under class-sharding every shard sees every window, so each
-    /// entry equals the total; under batch-sharding the entries sum to
-    /// it.)
-    pub shard_windows: Vec<u64>,
-    /// Per-shard health, indexed by shard — filled alongside
-    /// [`shard_windows`](Self::shard_windows) when a
-    /// [`ShardMonitor`](pulp_hd_core::backend::ShardMonitor) is
-    /// registered; empty otherwise. A `false` entry is a shard whose
-    /// worker panicked: batch-sharded sessions keep serving on the
-    /// survivors, class-sharded sessions report
-    /// [`ShardLost`](pulp_hd_core::backend::BackendError::ShardLost).
-    pub shard_healthy: Vec<bool>,
     /// Query-cache hits — windows answered by replaying a previously
     /// computed verdict instead of an associative-memory scan. Filled
     /// only when the served session was prepared with a caching

@@ -1,20 +1,21 @@
-//! Seeded fault-injection against the serving front-end: worker panics
-//! contained and retried behind the batcher, injected errors isolated
-//! to their own ticket, deadlines shedding stalled requests, and shard
-//! death degrading — never crashing — a sharded server.
+//! Seeded fault-injection against the serving front-end: panics in the
+//! served session contained and retried behind the batcher, injected
+//! errors isolated to their own ticket, deadlines shedding stalled
+//! requests, and a hung backend timing tickets out, then recovering.
 //!
 //! Companion to the core-layer chaos suite (`pulp-hd-core/tests/chaos`):
-//! that one pins the backend's typed errors and rerouting; this one
-//! pins what a *client* observes through [`Server`] under the same
+//! that one pins the backend's typed errors; this one pins what a
+//! *client* observes through [`Server`] under the same
 //! deterministic [`FaultPlan`] schedules. Runs in CI on both kernel
 //! levels (a second pass sets `PULP_HD_FORCE_SCALAR=1`).
 
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::Duration;
 
 use hdc::rng::Xoshiro256PlusPlus;
 use pulp_hd_core::backend::{
-    BackendError, ExecutionBackend, FastBackend, FaultBackend, FaultKind, FaultPlan, GoldenBackend,
-    HdModel, ShardSpec, ShardedBackend, Verdict,
+    BackendError, BackendSession, ExecutionBackend, FastBackend, FaultBackend, FaultKind,
+    FaultPlan, GoldenBackend, HdModel, Verdict,
 };
 use pulp_hd_core::layout::AccelParams;
 use pulp_hd_serve::{ServeConfig, ServeError, Server};
@@ -75,9 +76,11 @@ fn golden_verdicts(model: &HdModel, windows: &[Vec<Vec<u16>>]) -> Vec<Verdict> {
 }
 
 /// A scheduled panic inside the served session is contained on the
-/// batcher thread and retried — the affected request still gets its
-/// bit-exact verdict, nobody else notices, and the telemetry records
-/// exactly one contained panic and one retried batch.
+/// batcher thread and retried — every request still gets its bit-exact
+/// verdict, nobody else notices, and the telemetry records exactly one
+/// contained panic and a retried batch. Two inputs: a lone closed-loop
+/// client on a single-threaded engine, and concurrent clients whose
+/// requests share one multi-request batch on a pooled engine.
 #[test]
 #[cfg_attr(miri, ignore = "OS threads and wall-clock deadlines")]
 fn contained_panic_is_retried_transparently() {
@@ -102,6 +105,96 @@ fn contained_panic_is_retried_transparently() {
     assert_eq!(stats.completed, windows.len() as u64);
     assert_eq!(stats.contained_panics, 1);
     assert_eq!(stats.retried_batches, 1);
+
+    // Concurrent clients on a 2-thread engine: the first batch (one
+    // lone request) is held in service while every client queues its
+    // windows, so call 1 — the panicking one — serves all of them as
+    // one batch.
+    const CLIENTS: usize = 4;
+    const PER_CLIENT: usize = 4;
+    let windows = random_windows(&params, 3, 1 + CLIENTS * PER_CLIENT, 0xA12);
+    let expected = golden_verdicts(&model, &windows);
+    let chaos = FaultBackend::new(
+        FastBackend::try_with_threads(2).unwrap(),
+        FaultPlan::new().fault_at(1, FaultKind::Panic),
+    );
+    let (started_tx, started_rx) = channel();
+    let (proceed_tx, proceed_rx) = channel();
+    let session = HeldFirstBatch {
+        inner: chaos.prepare(&model).unwrap(),
+        gate: Some((started_tx, proceed_rx)),
+    };
+    let server = Server::from_session(Box::new(session), ServeConfig::default()).unwrap();
+    let held = server.client().submit(windows[0].clone()).unwrap();
+    started_rx.recv().unwrap();
+    let (submitted_tx, submitted_rx) = channel();
+    std::thread::scope(|scope| {
+        let clients: Vec<_> = windows[1..]
+            .chunks(PER_CLIENT)
+            .map(|chunk| {
+                let client = server.client();
+                let submitted = submitted_tx.clone();
+                scope.spawn(move || {
+                    let tickets: Vec<_> = chunk
+                        .iter()
+                        .map(|w| client.submit(w.clone()).unwrap())
+                        .collect();
+                    submitted.send(()).unwrap();
+                    tickets
+                        .into_iter()
+                        .map(|t| t.wait().unwrap())
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        drop(submitted_tx);
+        let all_queued = (0..CLIENTS).all(|_| submitted_rx.recv().is_ok());
+        proceed_tx.send(()).unwrap();
+        assert!(all_queued, "a client failed to submit");
+        assert_eq!(held.wait().unwrap(), expected[0], "the held request");
+        for (c, handle) in clients.into_iter().enumerate() {
+            let first = 1 + c * PER_CLIENT;
+            assert_eq!(
+                handle.join().unwrap(),
+                expected[first..first + PER_CLIENT],
+                "client {c}"
+            );
+        }
+    });
+    let stats = server.shutdown();
+    assert_eq!(stats.completed, windows.len() as u64);
+    assert_eq!(
+        stats.batches, 2,
+        "the held request, then every client's windows as one batch"
+    );
+    assert_eq!(stats.contained_panics, 1);
+    assert!(stats.retried_batches >= 1, "{}", stats.retried_batches);
+}
+
+/// A served session whose first batch reports that it has started and
+/// then waits to be let through, so a test can queue requests behind a
+/// batch that is already in service.
+struct HeldFirstBatch {
+    inner: Box<dyn BackendSession>,
+    gate: Option<(Sender<()>, Receiver<()>)>,
+}
+
+impl BackendSession for HeldFirstBatch {
+    fn classify(&mut self, window: &[Vec<u16>]) -> Result<Verdict, BackendError> {
+        self.inner.classify(window)
+    }
+
+    fn classify_batch_into(
+        &mut self,
+        windows: &[Vec<Vec<u16>>],
+        out: &mut Vec<Verdict>,
+    ) -> Result<(), BackendError> {
+        if let Some((started, proceed)) = self.gate.take() {
+            started.send(()).unwrap();
+            proceed.recv().unwrap();
+        }
+        self.inner.classify_batch_into(windows, out)
+    }
 }
 
 /// An injected backend *error* that persists through the per-window
@@ -185,79 +278,6 @@ fn injected_latency_trips_request_deadlines() {
     let stats = server.shutdown();
     assert_eq!(stats.deadline_expired, 1);
     assert_eq!(stats.completed, 3);
-}
-
-/// A shard worker panic behind a sharded server: the batch-level retry
-/// reroutes around the dead shard, so every client request — including
-/// the wave that lost the shard — resolves with a bit-exact verdict,
-/// and the loss is visible in `ServerStats::shard_healthy`.
-#[test]
-#[cfg_attr(miri, ignore = "OS threads and wall-clock deadlines")]
-fn shard_death_degrades_the_server_without_client_visible_errors() {
-    silence_expected_panics();
-    let params = params();
-    let model = HdModel::random(&params, 0x5E04);
-    let windows = random_windows(&params, 3, 32, 0xD44);
-    let expected = golden_verdicts(&model, &windows);
-
-    let backend = ShardedBackend::new(
-        FaultBackend::new(
-            FastBackend::try_with_threads(1).unwrap(),
-            // Session index = shard index: shard 1 dies on its first
-            // fanned chunk.
-            FaultPlan::new().fault_on(1, 0, FaultKind::Panic),
-        ),
-        ShardSpec::Batch(2),
-    )
-    .unwrap();
-    let session = backend.prepare_sharded(&model).unwrap();
-    let monitor = session.monitor();
-    let server = Server::from_session(
-        Box::new(session),
-        ServeConfig {
-            max_batch: 64,
-            max_delay: Duration::from_millis(50),
-            ..ServeConfig::default()
-        },
-    )
-    .unwrap()
-    .with_shard_monitor(monitor.clone());
-    let client = server.client();
-
-    // Waves of simultaneous tickets until one batch grows past the
-    // fan-out threshold and trips the scheduled shard panic (batches
-    // below it stay on the primary and cannot fan out).
-    let mut shard_lost = false;
-    for wave in 0..50 {
-        let tickets: Vec<_> = windows
-            .iter()
-            .map(|w| client.submit(w.clone()).unwrap())
-            .collect();
-        for (i, ticket) in tickets.into_iter().enumerate() {
-            assert_eq!(
-                ticket.wait().unwrap(),
-                expected[i],
-                "wave {wave}, window {i}"
-            );
-        }
-        if !monitor.healthy()[1] {
-            shard_lost = true;
-            break;
-        }
-    }
-    assert!(
-        shard_lost,
-        "no wave ever fanned out across the shards; fault never fired"
-    );
-
-    // Degraded mode keeps serving bit-exactly.
-    for (i, w) in windows.iter().enumerate().take(4) {
-        assert_eq!(client.classify(w).unwrap(), expected[i]);
-    }
-    let stats = server.shutdown();
-    assert_eq!(stats.shard_healthy, vec![true, false]);
-    assert!(stats.retried_batches >= 1, "{:?}", stats.retried_batches);
-    assert_eq!(stats.contained_panics, 0, "the backend contained it");
 }
 
 /// A hung backend ([`FaultKind::Hang`]) does not wedge callers who use

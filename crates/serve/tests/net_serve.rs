@@ -1,7 +1,7 @@
 //! Functional pinning of the wire front-end: verdicts served over TCP
 //! and UDS are bit-identical to direct `session.classify`, the `Stats`
-//! and `Health` commands round-trip the full `ServerStats` (shard
-//! health included), hostile frames get typed rejections that kill only
+//! and `Health` commands round-trip the full `ServerStats` and the
+//! liveness flag, hostile frames get typed rejections that kill only
 //! their own connection, and shutdown drains gracefully.
 
 use std::io::{Read, Write};
@@ -9,9 +9,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use hdc::rng::Xoshiro256PlusPlus;
-use pulp_hd_core::backend::{
-    ExecutionBackend, FastBackend, GoldenBackend, HdModel, ShardSpec, ShardedBackend, Verdict,
-};
+use pulp_hd_core::backend::{ExecutionBackend, FastBackend, GoldenBackend, HdModel, Verdict};
 use pulp_hd_core::layout::AccelParams;
 use pulp_hd_serve::net::{
     proto, Endpoint, ErrorCode, NetClient, NetClientConfig, NetConfig, NetError, NetServer,
@@ -104,26 +102,22 @@ fn wire_verdicts_bit_identical_over_tcp_and_uds() {
     assert!(!path.exists(), "socket file cleaned up");
 }
 
-/// `Stats` and `Health` round-trip the *full* `ServerStats` over the
-/// wire — shard telemetry and health included — so a load balancer
-/// sees exactly what an in-process caller sees.
+/// `Stats` and `Health` round-trip the *full* `ServerStats` and the
+/// liveness flag over the wire, so a load balancer sees exactly what an
+/// in-process caller sees.
 #[test]
 #[cfg_attr(miri, ignore = "real sockets")]
-fn stats_and_health_round_trip_shard_telemetry() {
+fn stats_and_health_round_trip_over_the_wire() {
     let params = params();
     let model = HdModel::random(&params, 0x4E7B);
     let windows = random_windows(&params, 3, 6, 0x22BB);
 
-    let backend = ShardedBackend::new(
-        FastBackend::try_with_threads(1).unwrap(),
-        ShardSpec::Batch(2),
+    let server = Server::spawn(
+        &FastBackend::try_with_threads(1).unwrap(),
+        &model,
+        ServeConfig::default(),
     )
     .unwrap();
-    let session = backend.prepare_sharded(&model).unwrap();
-    let monitor = session.monitor();
-    let server = Server::from_session(Box::new(session), ServeConfig::default())
-        .unwrap()
-        .with_shard_monitor(monitor);
     let net = NetServer::spawn(
         server,
         &[Endpoint::Tcp("127.0.0.1:0".into())],
@@ -146,15 +140,13 @@ fn stats_and_health_round_trip_shard_telemetry() {
     assert_eq!(wire.p50_us, local.p50_us);
     assert_eq!(wire.p99_us, local.p99_us);
     assert_eq!(wire.latency_max_us, local.latency_max_us);
-    assert_eq!(wire.shard_windows, local.shard_windows);
-    assert_eq!(wire.shard_healthy, vec![true, true]);
+    assert_eq!(wire.retried_batches, local.retried_batches);
+    assert_eq!(wire.contained_panics, local.contained_panics);
     assert_eq!(wire.cache_hits, local.cache_hits);
     assert_eq!(wire.completed, windows.len() as u64);
-    assert_eq!(wire.shard_windows.len(), 2);
 
     let health = client.health().unwrap();
     assert!(health.serving);
-    assert_eq!(health.shard_healthy, vec![true, true]);
 
     drop(client);
     let _ = net.shutdown();

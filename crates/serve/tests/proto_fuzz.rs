@@ -104,7 +104,6 @@ fn sample_verdict(rng: &mut Xoshiro256PlusPlus) -> Verdict {
 }
 
 fn sample_stats(rng: &mut Xoshiro256PlusPlus) -> ServerStats {
-    let shards = (rng.next_u32() % 4) as usize;
     ServerStats {
         completed: u64::from(rng.next_u32()),
         rejected: u64::from(rng.next_u32()),
@@ -122,8 +121,6 @@ fn sample_stats(rng: &mut Xoshiro256PlusPlus) -> ServerStats {
         deadline_expired: u64::from(rng.next_u32()),
         retried_batches: u64::from(rng.next_u32()),
         contained_panics: u64::from(rng.next_u32()),
-        shard_windows: (0..shards).map(|_| u64::from(rng.next_u32())).collect(),
-        shard_healthy: (0..shards).map(|_| rng.next_u32() % 2 == 0).collect(),
         cache_hits: u64::from(rng.next_u32()),
         cache_misses: u64::from(rng.next_u32()),
         cache_evictions: u64::from(rng.next_u32()),
@@ -159,16 +156,14 @@ fn sample_responses(rng: &mut Xoshiro256PlusPlus) -> Vec<Response> {
             Err(WireFault::new(ErrorCode::DeadlineExceeded, "")),
         ]),
         Response::Stats(sample_stats(rng)),
-        Response::Health(HealthReport {
-            serving: true,
-            shard_healthy: vec![true, false, true],
-        }),
+        Response::Health(HealthReport { serving: true }),
+        Response::Health(HealthReport { serving: false }),
         Response::Error(WireFault::new(ErrorCode::Malformed, "bad frame: \u{1F980}")),
     ]
 }
 
 /// Every encodable request and response round-trips bit-exactly —
-/// including the full `ServerStats` (f64 fields, shard vectors, cache
+/// including the full `ServerStats` (f64 fields, fault and cache
 /// counters) and verdicts with their query hypervectors.
 #[test]
 #[cfg_attr(
@@ -346,12 +341,16 @@ fn header_rejections_are_typed() {
         Err(proto::WireError::BadMagic(_))
     ));
 
-    let mut bad_version = frame.clone();
-    bad_version[4] = 99;
-    assert!(matches!(
-        decode_header(&bad_version, MAX_FRAME),
-        Err(proto::WireError::BadVersion(99))
-    ));
+    // A version-1 peer (whose stats and health frames still carried
+    // shard lists) is refused like any other unknown version.
+    for version in [1u8, 99] {
+        let mut bad_version = frame.clone();
+        bad_version[4] = version;
+        assert!(matches!(
+            decode_header(&bad_version, MAX_FRAME),
+            Err(proto::WireError::BadVersion(v)) if v == version
+        ));
+    }
 
     let mut huge = frame.clone();
     huge[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
@@ -378,7 +377,7 @@ fn header_rejections_are_typed() {
 /// A `Classify` request (a 3×4 window with a 250 ms deadline), as the
 /// wire carries it. Any change to these bytes is a protocol change.
 const GOLDEN_REQUEST: &str = concat!(
-    "4e484431010100000807060504030201280000",
+    "4e484431020100000807060504030201280000",
     "0090d003000000000003000000040000000100",
     "03020504feff110000000010ffff2c012d012e012f01",
 );
@@ -386,7 +385,7 @@ const GOLDEN_REQUEST: &str = concat!(
 /// A `Verdict` response (5 distances, a 4-word query, cycle counts, an
 /// early-accept source), as the wire carries it.
 const GOLDEN_VERDICT: &str = concat!(
-    "4e4844310181000008070605040302014a0000",
+    "4e4844310281000008070605040302014a0000",
     "00030000000101d20400000000000037020000",
     "0000000009070000000000000500000004100000",
     "960f000094130000110000000010000004000000",

@@ -8,7 +8,7 @@ use std::time::Duration;
 use hdc::rng::Xoshiro256PlusPlus;
 use pulp_hd_core::backend::{
     ApproxPolicy, ExecutionBackend, FastBackend, FaultBackend, FaultKind, FaultPlan, GoldenBackend,
-    HdModel, ScanPolicy, ShardSpec, ShardedBackend, TrainSpec, TrainableBackend,
+    HdModel, ScanPolicy, TrainSpec, TrainableBackend,
 };
 use pulp_hd_core::layout::AccelParams;
 use pulp_hd_serve::{ServeConfig, ServeError, Server, TrySubmitError};
@@ -411,88 +411,6 @@ fn invalid_configs_are_rejected() {
     }
     // The twins accept what the originals accept.
     let server = Server::try_spawn(&GoldenBackend, &model, ServeConfig::default()).unwrap();
-    let _ = server.shutdown();
-}
-
-/// Serving a sharded session through `from_session` unchanged: verdicts
-/// stay bit-identical to a direct golden session under both sharding
-/// strategies, and a registered `ShardMonitor` surfaces per-shard
-/// window counts in the server stats.
-#[test]
-#[cfg_attr(miri, ignore = "OS threads and wall-clock deadlines")]
-fn sharded_sessions_serve_bit_identical_with_per_shard_stats() {
-    let params = params();
-    let model = HdModel::random(&params, 0x54A2);
-    let windows = random_windows(&params, 3, 32, 0xD1CE);
-    let mut direct = GoldenBackend.prepare(&model).unwrap();
-    let expected: Vec<_> = windows
-        .iter()
-        .map(|w| direct.classify(w).unwrap())
-        .collect();
-
-    for spec in [ShardSpec::Batch(2), ShardSpec::Class(2)] {
-        let backend = ShardedBackend::new(FastBackend::try_with_threads(1).unwrap(), spec).unwrap();
-        let session = backend.prepare_sharded(&model).unwrap();
-        let shards = session.shards();
-        let monitor = session.monitor();
-        let server = Server::from_session(
-            Box::new(session),
-            ServeConfig {
-                max_batch: 16,
-                max_delay: Duration::from_millis(2),
-                queue_depth: 64,
-                ..ServeConfig::default()
-            },
-        )
-        .unwrap()
-        .with_shard_monitor(monitor);
-        let client = server.client();
-        for (i, w) in windows.iter().enumerate() {
-            assert_eq!(
-                client.classify(w).unwrap(),
-                expected[i],
-                "{spec:?} window {i}"
-            );
-        }
-        let stats = server.shutdown();
-        assert_eq!(stats.completed, windows.len() as u64);
-        assert_eq!(stats.shard_windows.len(), shards, "{spec:?}");
-        match spec {
-            // Solo closed-loop traffic never fans out, so shard 0
-            // absorbs everything…
-            ShardSpec::Batch(_) => {
-                assert_eq!(
-                    stats.shard_windows.iter().sum::<u64>(),
-                    windows.len() as u64,
-                    "{spec:?}: {:?}",
-                    stats.shard_windows
-                );
-            }
-            // …while class shards each scan every window regardless.
-            ShardSpec::Class(_) => {
-                assert_eq!(
-                    stats.shard_windows,
-                    vec![windows.len() as u64; shards],
-                    "{spec:?}"
-                );
-            }
-        }
-    }
-}
-
-/// An unsharded server reports no per-shard counters.
-#[test]
-#[cfg_attr(miri, ignore = "OS threads and wall-clock deadlines")]
-fn unsharded_stats_have_no_shard_windows() {
-    let params = params();
-    let model = HdModel::random(&params, 12);
-    let server = Server::spawn(
-        &FastBackend::try_with_threads(1).unwrap(),
-        &model,
-        ServeConfig::default(),
-    )
-    .unwrap();
-    assert!(server.stats().shard_windows.is_empty());
     let _ = server.shutdown();
 }
 

@@ -57,11 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- a load balancer's view: the health endpoint -------------------
     let mut probe = NetClient::connect_uds(&socket, NetClientConfig::default())?;
     let health = probe.health()?;
-    println!(
-        "health probe: serving {} ({} shards reported)",
-        health.serving,
-        health.shard_healthy.len()
-    );
+    println!("health probe: serving {}", health.serving);
 
     // --- a crowd of closed-loop wire clients ---------------------------
     let all_idx: Vec<usize> = (0..data.trials().len()).collect();

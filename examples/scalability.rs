@@ -1,18 +1,14 @@
 //! Scalability exploration (the paper's §5.2): how cycles scale with
 //! hypervector dimension, N-gram size, core count, and channel count on
 //! the Wolf cluster — a compact interactive version of Figs. 3–5 — plus
-//! the host-side axes the backend layer adds: batched throughput of the
-//! fast backend against the golden model, and a `ShardedBackend` shard
-//! sweep (both strategies, cross-checked bit-exact against golden —
-//! the in-process analogue of the paper's multi-cluster scaling).
+//! the host-side axis the backend layer adds: batched throughput of the
+//! fast backend against the golden model, cross-checked bit-exact.
 //!
 //! Run with: `cargo run --release --example scalability`
 
 use std::time::Instant;
 
-use pulp_hd_core::backend::{
-    ExecutionBackend, FastBackend, GoldenBackend, HdModel, ShardSpec, ShardedBackend,
-};
+use pulp_hd_core::backend::{ExecutionBackend, FastBackend, GoldenBackend, HdModel};
 use pulp_hd_core::experiments::{measure_chain, required_mhz};
 use pulp_hd_core::layout::AccelParams;
 use pulp_hd_core::platform::Platform;
@@ -65,6 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
     let mut golden = GoldenBackend.prepare(&model)?;
     let mut fast = FastBackend::new().prepare(&model)?;
+    let mut outputs = Vec::new();
     for (name, session) in [("golden", &mut golden), ("fast", &mut fast)] {
         let start = Instant::now();
         let verdicts = session.classify_batch(&windows)?;
@@ -74,31 +71,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             windows.len() as f64 / secs,
             verdicts.len()
         );
+        outputs.push(verdicts);
     }
-
-    // The scale-out axis: one engine fanned across N sessions. Both
-    // strategies must reproduce the golden verdicts bit for bit — the
-    // merge (chunk reassembly for batch-sharding, min-distance across
-    // AM slices for class-sharding) is part of the correctness
-    // contract, not just a perf knob.
-    println!("\nsharded fan-out (10,016-bit, batch of 256 windows, thread budget split):");
-    let expected = golden.classify_batch(&windows)?;
-    for shards in [1usize, 2, 4] {
-        for spec in [ShardSpec::Batch(shards), ShardSpec::Class(shards)] {
-            let mut session = ShardedBackend::fast(spec)?.prepare(&model)?;
-            let start = Instant::now();
-            let verdicts = session.classify_batch(&windows)?;
-            let secs = start.elapsed().as_secs_f64();
-            assert_eq!(verdicts, expected, "{spec:?} diverged from golden");
-            println!(
-                "  {:>5}x{shards}: {:>8.0} windows/s (bit-exact vs golden)",
-                match spec {
-                    ShardSpec::Batch(_) => "batch",
-                    ShardSpec::Class(_) => "class",
-                },
-                windows.len() as f64 / secs,
-            );
-        }
-    }
+    assert_eq!(outputs[0], outputs[1], "fast diverged from golden");
     Ok(())
 }
