@@ -1,7 +1,8 @@
 //! The seeded differential fuzzer: every kernel registered in
 //! [`hdc::twins`] is run AVX2-vs-portable-vs-naive at adversarial
-//! widths, the packed [`CounterBundler`] is checked against per-bit
-//! counting, and the wire decoder is fed mutated frames.
+//! widths, the packed [`CounterBundler`] and the fused unigram window
+//! vote are checked against per-bit counting, and the wire decoder is
+//! fed mutated frames.
 //!
 //! Determinism is the contract: a case is fully determined by its
 //! `(family, seed)` pair, so any failure replays with
@@ -17,7 +18,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
-use hdc::hv64::CounterBundler;
+use hdc::hv64::{BitslicedBundler, CounterBundler};
 use hdc::simd::Simd;
 use hdc::twins::KERNEL_TWINS;
 use hdc::{BinaryHv, Hv64};
@@ -67,9 +68,9 @@ const KERNEL_FAMILIES: &[&str] = &[
     "xor_rotated_into",
 ];
 
-/// Non-kernel families: the packed training accumulator and the wire
-/// decoder.
-const EXTRA_FAMILIES: &[&str] = &["counter_bundler", "proto"];
+/// Non-kernel families: the packed training accumulator, the fused
+/// unigram window vote, and the wire decoder.
+const EXTRA_FAMILIES: &[&str] = &["counter_bundler", "window_vote", "proto"];
 
 /// All fuzz families, derived from the twin registry.
 ///
@@ -160,6 +161,7 @@ fn dispatch(family: &str, seed: u64) -> Result<(), String> {
         "counter_majority_into" => fuzz_counter_majority(&mut rng),
         "xor_rotated_into" => fuzz_xor_rotated(&mut rng),
         "counter_bundler" => fuzz_counter_bundler(&mut rng),
+        "window_vote" => fuzz_window_vote(&mut rng, seed),
         "proto" => fuzz_proto(&mut rng),
         other => Err(format!("unknown fuzz family `{other}`")),
     }
@@ -688,6 +690,81 @@ fn fuzz_counter_bundler(rng: &mut XorShift64) -> Result<(), String> {
 }
 
 // ---------------------------------------------------------------------------
+// Fused window-vote family
+// ---------------------------------------------------------------------------
+
+/// The paper majority of one lane's votes, counted: one vote is
+/// itself; an even count adds the first two votes' XOR; the lane is set
+/// above half.
+fn naive_paper_bit(votes: &[bool]) -> bool {
+    let n = votes.len();
+    if n == 1 {
+        return votes[0];
+    }
+    let even = n % 2 == 0;
+    let count = votes.iter().filter(|&&v| v).count() + usize::from(even && votes[0] != votes[1]);
+    2 * count > n + usize::from(even)
+}
+
+/// The unigram window encode (`BitslicedBundler::bundle_window_into`)
+/// at both levels against writing every spatial vote per bit first:
+/// 1–8 channels, window lengths on the counter's plane boundaries plus
+/// 1, 2, 5 and 25, rows drawn with repeats from a small table.
+fn fuzz_window_vote(rng: &mut XorShift64, seed: u64) -> Result<(), String> {
+    const LENGTHS: [usize; 14] = [3, 4, 7, 8, 15, 16, 31, 32, 63, 64, 1, 2, 5, 25];
+    // Every length in turn, so any 14 consecutive seeds cover them all.
+    let samples = LENGTHS[(seed % LENGTHS.len() as u64) as usize];
+    let channels = rng.range(1, 8);
+    // Wide windows get narrow rows, bounding the per-bit reference.
+    let w = pick_width(rng).min(if samples * channels > 64 { 17 } else { 160 });
+    // Odd `u32` widths leave the top half of the last word as padding.
+    let n_words32 = 2 * w - usize::from(rng.chance(1, 2));
+    let mut table = Vec::new();
+    let table_rows = rng.range(1, 12);
+    for _ in 0..table_rows {
+        let mut row = gen_words(rng, w);
+        if n_words32 % 2 == 1 {
+            row[w - 1] &= u64::from(u32::MAX);
+        }
+        table.extend(row);
+    }
+    let starts: Vec<usize> = (0..samples * channels)
+        .map(|_| rng.below(table_rows as u64) as usize * w)
+        .collect();
+    let mut want = vec![0u64; w];
+    for i in 0..w * 64 {
+        let spatial: Vec<bool> = starts
+            .chunks(channels)
+            .map(|rows| {
+                let votes: Vec<bool> = rows.iter().map(|&s| bit(&table[s..s + w], i)).collect();
+                naive_paper_bit(&votes)
+            })
+            .collect();
+        if naive_paper_bit(&spatial) {
+            want[i / 64] |= 1u64 << (i % 64);
+        }
+    }
+    let before = Simd::active();
+    let mut result = Ok(());
+    for level in levels() {
+        Simd::set_active(level);
+        let mut out = Hv64::zeros(n_words32);
+        BitslicedBundler::bundle_window_into(samples, channels, &table, &starts, &mut out);
+        result = check_eq(
+            &format!("window_vote w32={n_words32} samples={samples} channels={channels}"),
+            level,
+            &out.words().to_vec(),
+            &want,
+        );
+        if result.is_err() {
+            break;
+        }
+    }
+    Simd::set_active(before);
+    result
+}
+
+// ---------------------------------------------------------------------------
 // Wire-decoder family
 // ---------------------------------------------------------------------------
 
@@ -912,6 +989,7 @@ mod tests {
             assert!(fams.contains(&twin.kernel), "missing {}", twin.kernel);
         }
         assert!(fams.contains(&"counter_bundler"));
+        assert!(fams.contains(&"window_vote"));
         assert!(fams.contains(&"proto"));
     }
 

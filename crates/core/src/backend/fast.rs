@@ -13,16 +13,23 @@
 //!   portable unrolled fallback otherwise, selected once per process
 //!   (`BENCH_throughput.json` records which level a bench run used);
 //! * the `channels × levels` bind table `IM[c] ⊕ CIM[l]` is
-//!   precomputed at [`prepare`](super::ExecutionBackend::prepare) time,
-//!   removing one XOR per channel per sample from the hot path;
+//!   precomputed at [`prepare`](super::ExecutionBackend::prepare) time
+//!   into one flat buffer, removing one XOR per channel per sample from
+//!   the hot path;
 //! * encoding runs entirely inside a reusable per-thread
-//!   [`EncodeScratch`] arena: spatial and temporal bundling go through
-//!   the word-major, register-resident carry-save majority
-//!   ([`BitslicedBundler::bundle_paper_into`], with fixed full-adder
-//!   networks for the common vote sizes), N-grams are
-//!   built with the fused bind-rotate [`Hv64::xor_rotated`], and after
-//!   the arena has warmed up to the window length, classifying a window
-//!   performs **no heap allocation in the encode path** (the returned
+//!   [`EncodeScratch`] arena. A unigram window is one fused vote
+//!   ([`BitslicedBundler::bundle_window_into`]): for each word block,
+//!   every sample's spatial vote is computed in registers from its
+//!   bind-table rows and feeds the carry-save tree of the temporal vote
+//!   directly, so no spatial hypervector is written. N-gram windows,
+//!   and windows with a vote too wide for the in-register counter
+//!   (`2^RIPPLE_PLANES` or more inputs with the tie vector), write each
+//!   sample's spatial hypervector, build the N-grams in place with the
+//!   fused bind-rotate [`Hv64::xor_rotated`], and bundle them with the
+//!   word-major, register-resident carry-save majority
+//!   ([`BitslicedBundler::bundle_paper_into`]). After the arena has
+//!   warmed up to the window length, classifying a window performs
+//!   **no heap allocation in the encode path** (the returned
 //!   [`Verdict`] still owns its two output buffers — the distances
 //!   vector and the unpacked query — which are the only per-window
 //!   allocations left);
@@ -88,6 +95,7 @@ use std::sync::Arc;
 use hdc::hv64::{scan_pruned_into, scan_threshold_into, BitslicedBundler, CounterBundler, Hv64};
 use hdc::item_memory::quantize_code;
 use hdc::rng::{derive_seed, Xoshiro256PlusPlus};
+use hdc::simd::RIPPLE_PLANES;
 use hdc::BinaryHv;
 
 use super::pool::{
@@ -716,13 +724,14 @@ impl TrainableBackend for FastBackend {
 /// the lifetime of the session, so repeated batches reuse warm arenas.
 #[derive(Debug)]
 struct EncodeScratch {
-    /// Quantized level index per channel of the sample being encoded.
-    levels: Vec<usize>,
-    /// Spatial hypervector per sample; grows to the window length and is
-    /// then reused in place.
-    spatials: Vec<Hv64>,
-    /// One buffer per sliding N-gram of the window (unused when
-    /// `ngram == 1`; the spatials feed the query majority directly).
+    /// First word in the bind table of every sample's channel rows,
+    /// sample by sample.
+    starts: Vec<usize>,
+    /// N-gram windows, and windows with a vote too wide for the
+    /// in-register counter: each sample's spatial hypervector, then in
+    /// place each sliding N-gram over its first sample. Grows to the
+    /// window length. Other unigram windows leave it empty: their
+    /// spatial votes are never written.
     grams: Vec<Hv64>,
     /// The encoded query of the current window.
     query: Hv64,
@@ -731,8 +740,7 @@ struct EncodeScratch {
 impl EncodeScratch {
     fn new(n_words32: usize) -> Self {
         Self {
-            levels: Vec::new(),
-            spatials: Vec::new(),
+            starts: Vec::new(),
             grams: Vec::new(),
             query: Hv64::zeros(n_words32),
         }
@@ -744,8 +752,10 @@ impl EncodeScratch {
 /// serving and training sessions (and their pool workers) behind an
 /// [`Arc`].
 struct EncodeCore {
-    /// `bound[c][l] = IM[c] ⊕ CIM[l]`, the per-sample bind table.
-    bound: Vec<Vec<Hv64>>,
+    /// The per-sample bind table `IM[c] ⊕ CIM[l]`, packed, row
+    /// `c · levels + l` after row, in one flat buffer.
+    bound: Vec<u64>,
+    channels: usize,
     levels: usize,
     ngram: usize,
     n_words32: usize,
@@ -755,16 +765,17 @@ impl EncodeCore {
     /// Precomputes the bind table from the model's item memories.
     fn from_parts(im: &hdc::ItemMemory, cim: &hdc::ContinuousItemMemory, ngram: usize) -> Self {
         let levels = cim.n_levels();
-        let bound: Vec<Vec<Hv64>> = (0..im.len())
-            .map(|c| {
-                (0..levels)
-                    .map(|l| Hv64::from_binary(&im.get(c).bind(cim.get(l))))
-                    .collect()
-            })
-            .collect();
+        let n_words32 = cim.get(0).n_words();
+        let mut bound = Vec::with_capacity(im.len() * levels * n_words32.div_ceil(2));
+        for c in 0..im.len() {
+            for l in 0..levels {
+                bound.extend_from_slice(Hv64::from_binary(&im.get(c).bind(cim.get(l))).words());
+            }
+        }
         Self {
-            n_words32: cim.get(0).n_words(),
+            n_words32,
             bound,
+            channels: im.len(),
             levels,
             ngram,
         }
@@ -777,48 +788,54 @@ impl EncodeCore {
         window: &[Vec<u16>],
         scratch: &mut EncodeScratch,
     ) -> Result<(), BackendError> {
-        validate_window(window, self.bound.len(), self.ngram)?;
+        validate_window(window, self.channels, self.ngram)?;
         let EncodeScratch {
-            levels,
-            spatials,
+            starts,
             grams,
             query,
         } = scratch;
-        while spatials.len() < window.len() {
-            spatials.push(Hv64::zeros(self.n_words32));
+        let row_words = query.n_words();
+        starts.clear();
+        for sample in window {
+            starts.extend(sample.iter().enumerate().map(|(c, &code)| {
+                (c * self.levels + quantize_code(code, self.levels)) * row_words
+            }));
         }
-        // Spatial encode: one word-major carry-save majority per sample
-        // over the precomputed bind table rows.
-        for (t, sample) in window.iter().enumerate() {
-            levels.clear();
-            levels.extend(sample.iter().map(|&code| quantize_code(code, self.levels)));
-            BitslicedBundler::bundle_paper_into(
-                sample.len(),
-                |c| &self.bound[c][levels[c]],
-                &mut spatials[t],
+        let (channels, n) = (self.channels, self.ngram);
+        // Whether a vote fits the in-register counter: fewer than
+        // `2^RIPPLE_PLANES` inputs with its tie vector.
+        let fits = |votes: usize| votes + usize::from(votes % 2 == 0) < 1 << RIPPLE_PLANES;
+        if n == 1 && fits(window.len()) && fits(channels) {
+            // Unigrams: each word block's spatial votes feed the
+            // temporal vote in registers; none is written.
+            BitslicedBundler::bundle_window_into(
+                window.len(),
+                channels,
+                &self.bound,
+                starts,
+                query,
             );
+            return Ok(());
         }
-        // Temporal encode: build each sliding N-gram with fused
-        // bind-rotates, then bundle all N-grams into the query with a
-        // second word-major majority. Unigrams skip the materialization
-        // and vote directly over the spatial hypervectors.
-        let n = self.ngram;
+        // N-grams, and votes too wide for the counter: each sample's
+        // spatial hypervector, then each sliding N-gram built in place
+        // over its first sample with fused bind-rotates (the later
+        // samples it reads are still spatial; a unigram is the spatial
+        // itself), then one word-major majority over the N-grams.
+        while grams.len() < window.len() {
+            grams.push(Hv64::zeros(self.n_words32));
+        }
+        for (spatial, sample) in grams.iter_mut().zip(starts.chunks(channels)) {
+            BitslicedBundler::bundle_window_into(1, channels, &self.bound, sample, spatial);
+        }
         let g_count = window.len() - n + 1;
-        if n == 1 {
-            BitslicedBundler::bundle_paper_into(g_count, |i| &spatials[i], query);
-        } else {
-            while grams.len() < g_count {
-                grams.push(Hv64::zeros(self.n_words32));
+        for s in 0..g_count {
+            let (head, later) = grams.split_at_mut(s + 1);
+            for (k, sp) in later[..n - 1].iter().enumerate() {
+                head[s].xor_rotated(sp, k + 1);
             }
-            for s in 0..g_count {
-                let gram = &mut grams[s];
-                gram.copy_from(&spatials[s]);
-                for (k, sp) in spatials[s + 1..s + n].iter().enumerate() {
-                    gram.xor_rotated(sp, k + 1);
-                }
-            }
-            BitslicedBundler::bundle_paper_into(g_count, |i| &grams[i], query);
         }
+        BitslicedBundler::bundle_paper_into(g_count, |i| &grams[i], query);
         Ok(())
     }
 }
@@ -1794,23 +1811,30 @@ mod tests {
     }
 
     /// The session arena must not leak state between windows of
-    /// different lengths (growing and shrinking windows reuse slots).
+    /// different lengths (growing and shrinking windows reuse slots),
+    /// and holds spatial hypervectors only for N-gram windows: unigram
+    /// windows never write one.
     #[test]
     fn scratch_reuse_across_varying_window_lengths() {
-        let params = AccelParams {
-            n_words: 12,
-            ngram: 2,
-            ..AccelParams::emg_default()
-        };
-        let model = HdModel::random(&params, 31);
-        let mut golden = GoldenBackend.prepare(&model).unwrap();
-        let mut fast = FastBackend::with_threads(1).prepare(&model).unwrap();
-        // One session, windows of wildly varying lengths, interleaved.
-        for (i, len) in [7usize, 2, 5, 2, 9, 3, 2, 8].iter().enumerate() {
-            let w = random_windows(&params, *len, 1, 1000 + i as u64).remove(0);
-            let g = golden.classify(&w).unwrap();
-            let f = fast.classify(&w).unwrap();
-            assert_eq!(f, g, "window {i} of {len} samples");
+        for ngram in [1, 2] {
+            let params = AccelParams {
+                n_words: 12,
+                ngram,
+                ..AccelParams::emg_default()
+            };
+            let model = HdModel::random(&params, 31);
+            let mut golden = GoldenBackend.prepare(&model).unwrap();
+            let mut fast = pooled_session(FastBackend::with_threads(1), &model, 1);
+            // One session, windows of wildly varying lengths, interleaved.
+            let lengths = [7usize, 2, 5, 2, 9, 3, 2, 8];
+            for (i, len) in lengths.iter().enumerate() {
+                let w = random_windows(&params, *len, 1, 1000 + i as u64).remove(0);
+                let g = golden.classify(&w).unwrap();
+                let f = fast.classify(&w).unwrap();
+                assert_eq!(f, g, "{ngram}-grams: window {i} of {len} samples");
+            }
+            let spatials = if ngram == 1 { 0 } else { 9 };
+            assert_eq!(fast.scratch.grams.len(), spatials, "{ngram}-grams");
         }
     }
 

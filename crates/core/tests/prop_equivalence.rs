@@ -33,6 +33,54 @@ fn platform_for(selector: u8) -> Platform {
     }
 }
 
+/// Window lengths the encoder's vote tree depends on: both sides of
+/// its groups and plane-count steps, the paper's 25-sample window, and
+/// the lengths around the in-register counter's limit of 1023 inputs.
+/// 1022 samples vote 1023 inputs with the tie vector and 1023 vote 1023
+/// without it; only 1024 samples vote 1025 and take the streaming path.
+const WINDOW_LENGTHS: [usize; 17] = [
+    1, 2, 4, 5, 7, 8, 15, 16, 24, 25, 31, 32, 63, 64, 1022, 1023, 1024,
+];
+
+/// Two chain shapes per window length, one unigram and one with
+/// 2–3-grams (where the length allows), over 1–8 channels. Each gets
+/// `random` random windows of that length plus a tie-heavy one: its
+/// first half repeats one sample and its second half another, so even
+/// votes tie at exactly half in many lanes.
+fn window_length_cases(
+    rng: &mut Xoshiro256PlusPlus,
+    random: usize,
+) -> Vec<(AccelParams, Vec<Vec<Vec<u16>>>)> {
+    let mut cases = Vec::new();
+    for (k, &len) in WINDOW_LENGTHS.iter().enumerate() {
+        for (channels, ngram) in [(1 + k % 8, 1), (1 + (k + 4) % 8, (2 + k % 2).min(len))] {
+            let params = AccelParams {
+                n_words: 1 + rng.next_below(12) as usize,
+                channels,
+                ngram,
+                classes: 2 + rng.next_below(4) as usize,
+                levels: 2 + rng.next_below(20) as usize,
+            };
+            let sample = |rng: &mut Xoshiro256PlusPlus| -> Vec<u16> {
+                (0..channels)
+                    .map(|_| (rng.next_u32() & 0xffff) as u16)
+                    .collect()
+            };
+            let mut windows: Vec<Vec<Vec<u16>>> = (0..random)
+                .map(|_| (0..len).map(|_| sample(rng)).collect())
+                .collect();
+            let (first, second) = (sample(rng), sample(rng));
+            windows.push(
+                (0..len)
+                    .map(|t| if t < len / 2 { &first } else { &second }.clone())
+                    .collect(),
+            );
+            cases.push((params, windows));
+        }
+    }
+    cases
+}
+
 #[test]
 #[cfg_attr(
     miri,
@@ -216,6 +264,44 @@ fn training_agrees_across_backends_and_simd_levels() {
                 "{ctx}: served verdicts diverged"
             );
         }
+        // Every window length the vote tree depends on, with a
+        // tie-heavy window in each training batch.
+        let mut rng = Xoshiro256PlusPlus::seed_from_u64(0x7A11_1E26);
+        for (case, (params, windows)) in window_length_cases(&mut rng, 3).into_iter().enumerate() {
+            let spec = TrainSpec::random(&params, rng.next_u64());
+            let labels: Vec<usize> = (0..windows.len()).map(|i| i % params.classes).collect();
+            let mut golden = GoldenBackend.begin_training(&spec).unwrap();
+            let mut fast = FastBackend::with_threads(2).begin_training(&spec).unwrap();
+            golden.train_batch(&windows, &labels).unwrap();
+            fast.train_batch(&windows, &labels).unwrap();
+            let ctx = format!(
+                "{level:?} window-length case {case}: {} samples, {params:?}",
+                windows[0].len()
+            );
+            assert_eq!(
+                fast.finalize().unwrap().prototypes(),
+                golden.finalize().unwrap().prototypes(),
+                "{ctx}: trained prototypes diverged"
+            );
+            let (w, l) = (windows.last().unwrap(), labels[0]);
+            assert_eq!(
+                fast.update_online(w, l).unwrap(),
+                golden.update_online(w, l).unwrap(),
+                "{ctx}: online update"
+            );
+            assert_eq!(
+                fast.into_serving()
+                    .unwrap()
+                    .classify_batch(&windows)
+                    .unwrap(),
+                golden
+                    .into_serving()
+                    .unwrap()
+                    .classify_batch(&windows)
+                    .unwrap(),
+                "{ctx}: served verdicts diverged"
+            );
+        }
     }
     Simd::set_active(Simd::detect());
 }
@@ -341,6 +427,31 @@ fn exact_policy_stays_bit_identical_to_golden_across_simd_levels() {
                     );
                     assert_eq!(one.source, VerdictSource::Scan);
                 }
+            }
+        }
+        // Every window length the vote tree depends on, tie-heavy
+        // windows included, through both the batch and the
+        // single-window path.
+        let mut rng = Xoshiro256PlusPlus::seed_from_u64(0xE8AC_1E26);
+        for (case, (params, windows)) in window_length_cases(&mut rng, 2).into_iter().enumerate() {
+            let model = HdModel::random(&params, rng.next_u64());
+            let expected = GoldenBackend
+                .prepare(&model)
+                .unwrap()
+                .classify_batch(&windows)
+                .unwrap();
+            let mut session = FastBackend::with_threads(2).prepare(&model).unwrap();
+            let ctx = format!(
+                "{level:?} window-length case {case}: {} samples, {params:?}",
+                windows[0].len()
+            );
+            assert_eq!(session.classify_batch(&windows).unwrap(), expected, "{ctx}");
+            for (i, w) in windows.iter().enumerate() {
+                assert_eq!(
+                    session.classify(w).unwrap(),
+                    expected[i],
+                    "{ctx} window {i}"
+                );
             }
         }
     }

@@ -483,12 +483,18 @@ impl BitslicedBundler {
             "bundler width mismatch: expected {} u32 words, got {}",
             self.n_words32, hv.n_words32
         );
+        self.add_row(&hv.words);
+    }
+
+    /// [`add`](Self::add) of one row of words, the width already
+    /// checked.
+    fn add_row(&mut self, row: &[u64]) {
         match self.n {
-            0 => self.tie.copy_from(hv),
-            1 => self.tie.xor_assign(hv),
+            0 => self.tie.words.copy_from_slice(row),
+            1 => Simd::active().xor_into(&mut self.tie.words, row),
             _ => {}
         }
-        Self::add_words(&mut self.planes, &hv.words);
+        Self::add_words(&mut self.planes, row);
         self.n += 1;
     }
 
@@ -528,18 +534,22 @@ impl BitslicedBundler {
     ///   `(x0 ∨ x1) ∧ (x2 ∨ x3)`.
     /// * **Three and five inputs** (e.g. 5-sample windows of unigrams)
     ///   are fixed full-adder majority networks.
-    /// * **Larger votes** run a counter of fixed depth, the bit width
-    ///   of the vote count. Inputs enter two at a time through a full
-    ///   adder into plane 0, and its carry is half-added through the
-    ///   higher planes. An even vote seeds plane 1 with `x0 ∨ x1`.
+    /// * **Larger votes** run the carry-save tree of
+    ///   [`Simd::ripple_majority_into`], with as many planes as the
+    ///   vote count has bits. Inputs enter in Harley–Seal groups of
+    ///   eight, counted into the low planes by full adders; only each
+    ///   group's carry walks the higher planes. An even vote seeds
+    ///   plane 1 with `x0 ∨ x1`.
     ///
-    /// This is the hot-path entry point of the fast backend's
-    /// spatial and temporal bundling; it performs no heap allocation
-    /// for votes up to 1022 inputs and needs no persistent accumulator
-    /// state (hence no `self`). Wider votes — beyond the 10-plane
-    /// in-register counter — transparently route through a freshly
-    /// allocated streaming accumulator (at that input scale the
-    /// allocation is noise next to the counting work).
+    /// The fast backend bundles with this form the N-grams of N-gram
+    /// windows and the spatial hypervectors of unigram windows too wide
+    /// for the fused vote; spatial votes go through
+    /// [`bundle_window_into`](Self::bundle_window_into). It performs no
+    /// heap allocation for votes up to 1022 inputs and needs no
+    /// persistent accumulator state (hence no `self`). Wider votes —
+    /// beyond the 10-plane in-register counter — transparently route
+    /// through a freshly allocated streaming accumulator (at that input
+    /// scale the allocation is noise next to the counting work).
     ///
     /// Bit-identical to [`majority_paper64`] over the same inputs in
     /// the same order (a property test pins this).
@@ -627,6 +637,63 @@ impl BitslicedBundler {
         // defensively, matching the rest of the module.
         let tail = (n_words32 * BITS_PER_WORD) % BITS_PER_WORD64;
         if tail != 0 {
+            out.words[n_words - 1] &= (1u64 << tail) - 1;
+        }
+    }
+
+    /// The unigram encode of one window, straight into `out`: spatial
+    /// vote `t` is the paper majority of sample `t`'s `channels` bound
+    /// rows, and `out` is the paper majority of the `samples` spatial
+    /// votes. The rows come from one flat table: row `t·channels + c`
+    /// is the `out.n_words()` words of `table` from word
+    /// `starts[t·channels + c]`.
+    ///
+    /// No spatial hypervector is written. For each word block the
+    /// spatial votes are computed in registers, in the closed form
+    /// [`bundle_paper_into`](Self::bundle_paper_into) picks for the
+    /// channel count (or by the carry-save tree from six channels on),
+    /// and feed the temporal carry-save tree directly. Both votes must
+    /// stay below `2^`[`RIPPLE_PLANES`](crate::simd::RIPPLE_PLANES)
+    /// inputs with their tie vectors; a longer window writes its
+    /// spatial hypervectors with one-sample calls and bundles them with
+    /// `bundle_paper_into`.
+    ///
+    /// With one sample this is the spatial vote alone, and a spatial
+    /// vote of `2^RIPPLE_PLANES` or more inputs with its tie vector
+    /// then streams through a fresh accumulator. Bit-identical to
+    /// `bundle_paper_into` over the spatial hypervectors that
+    /// `bundle_paper_into` writes from the same rows (a property test
+    /// pins this).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples` or `channels` is zero, a window of more than
+    /// one sample has a vote of `2^RIPPLE_PLANES` or more inputs with
+    /// its tie vector, `starts` does not hold `samples · channels`
+    /// rows, or a row runs past the end of `table`.
+    pub fn bundle_window_into(
+        samples: usize,
+        channels: usize,
+        table: &[u64],
+        starts: &[usize],
+        out: &mut Hv64,
+    ) {
+        let wide = channels + usize::from(channels % 2 == 0) >= 1 << crate::simd::RIPPLE_PLANES;
+        if samples == 1 && wide {
+            assert_eq!(starts.len(), channels, "a sample needs one row per channel");
+            let width = out.words.len();
+            let mut votes = Self::new(out.n_words32);
+            for &start in starts {
+                votes.add_row(&table[start..start + width]);
+            }
+            votes.majority_paper_into(out);
+            return;
+        }
+        Simd::active().window_majority_into(samples, channels, table, starts, &mut out.words);
+        // Padding stays clean as in `bundle_paper_into`; mask likewise.
+        let tail = (out.n_words32 * BITS_PER_WORD) % BITS_PER_WORD64;
+        if tail != 0 {
+            let n_words = out.words.len();
             out.words[n_words - 1] &= (1u64 << tail) - 1;
         }
     }
@@ -1215,6 +1282,70 @@ mod tests {
         }
     }
 
+    /// The fused window encode equals `bundle_paper_into` over the
+    /// spatial hypervectors it writes, at the active level, for odd
+    /// widths (padding) and up to the in-register counter's limit:
+    /// 1022 samples vote 1023 inputs with the tie vector, 1023 vote
+    /// 1023 without it. One sample of 1023 channels is the widest
+    /// spatial vote the counter holds; 1024 channels vote 1025 inputs
+    /// and stream.
+    #[test]
+    fn bundle_window_into_matches_bundling_the_written_spatials() {
+        let mut rng = Xoshiro256PlusPlus::seed_from_u64(0xB0_7E);
+        let window_lengths: &[usize] = if cfg!(miri) {
+            &[1, 2, 25]
+        } else {
+            &[1, 2, 25, 1022, 1023]
+        };
+        // (samples, channels)
+        let mut shapes: Vec<(usize, usize)> = [1usize, 4, 6]
+            .iter()
+            .flat_map(|&channels| window_lengths.iter().map(move |&t| (t, channels)))
+            .collect();
+        if !cfg!(miri) {
+            shapes.extend([(1, 1023), (1, 1024)]);
+        }
+        for n_words32 in [3usize, 9] {
+            let rows: Vec<Hv64> = (0..10)
+                .map(|_| Hv64::from_binary(&BinaryHv::random(n_words32, rng.next_u64())))
+                .collect();
+            let table: Vec<u64> = rows.iter().flat_map(|r| r.words().to_vec()).collect();
+            let width = rows[0].n_words();
+            for &(samples, channels) in &shapes {
+                let picks: Vec<usize> = (0..samples * channels)
+                    .map(|_| rng.next_below(rows.len() as u32) as usize)
+                    .collect();
+                let starts: Vec<usize> = picks.iter().map(|&r| r * width).collect();
+                let spatials: Vec<Hv64> = (0..samples)
+                    .map(|t| {
+                        let mut spatial = Hv64::zeros(n_words32);
+                        let row = |c: usize| &rows[picks[t * channels + c]];
+                        BitslicedBundler::bundle_paper_into(channels, row, &mut spatial);
+                        spatial
+                    })
+                    .collect();
+                let mut expected = Hv64::zeros(n_words32);
+                BitslicedBundler::bundle_paper_into(samples, |t| &spatials[t], &mut expected);
+                let mut got = Hv64::zeros(n_words32);
+                BitslicedBundler::bundle_window_into(samples, channels, &table, &starts, &mut got);
+                assert_eq!(
+                    got, expected,
+                    "{n_words32} words, {channels} channels, {samples} samples"
+                );
+            }
+        }
+    }
+
+    /// A window of more than one sample must fit the in-register
+    /// counter: the caller writes the spatials of a longer one.
+    #[test]
+    #[should_panic(expected = "overflows")]
+    fn bundle_window_into_rejects_a_window_past_the_counter() {
+        let table = vec![0u64; 2];
+        let mut out = Hv64::zeros(3);
+        BitslicedBundler::bundle_window_into(1024, 1, &table, &[0; 1024], &mut out);
+    }
+
     #[test]
     fn zeros_has_clean_padding_and_width() {
         let z = Hv64::zeros(313);
@@ -1247,9 +1378,9 @@ mod tests {
     fn bundle_paper_into_matches_majority_paper64_for_all_counts() {
         // n = 1..14 crosses every specialization boundary: identity,
         // the OR shortcut (n = 2), maj-3, maj-5 with and without the
-        // tie input, and the fixed-depth counter; the larger counts
-        // cover the served temporal vote (25) and the counter's
-        // plane-count steps.
+        // tie input, and the carry-save tree; the larger counts cover
+        // the served temporal vote (25) and the counter's plane-count
+        // steps.
         for n in (1usize..14).chain([24, 25, 31, 32, 63, 64]) {
             for n_words32 in [1usize, 3, 11, 313] {
                 let hvs: Vec<Hv64> = (0..n)

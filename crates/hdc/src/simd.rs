@@ -20,13 +20,20 @@
 //!   ([`Simd::maj5_tie_into`]) is `(x0 ∨ x1) ∧ (x2 ∨ x3)`, three logic
 //!   ops, and an even temporal vote seeds counter plane 1 with
 //!   `x0 ∨ x1` instead of counting three inputs.
-//! * **The vote counter has a fixed depth.**
-//!   [`Simd::ripple_majority_into`] fixes its plane count once per call
+//! * **The vote counter is a carry-save tree.**
+//!   [`Simd::ripple_majority_into`] counts with a Harley–Seal tree of
+//!   full adders. Inputs enter eight at a time: seven full adders count
+//!   a group into planes 0–2, and only the group's carry is half-added
+//!   through the higher planes. The plane count is fixed once per call
 //!   as the bit width of the vote count (2 to [`RIPPLE_PLANES`] planes,
 //!   one const-generic instantiation each, so the planes stay in
-//!   registers). Inputs enter two at a time through a full adder into
-//!   plane 0, and its carry is half-added through every higher plane
-//!   with no data-dependent branch.
+//!   registers), and no step branches on the data.
+//! * **A window's spatial votes are never written.** The same tree
+//!   takes its inputs either from rows or from the paper majority of
+//!   each sample's channel rows, computed in registers for each word
+//!   block in the closed form the channel count allows. That is the
+//!   unigram encode,
+//!   [`BitslicedBundler::bundle_window_into`](crate::hv64::BitslicedBundler::bundle_window_into).
 //!
 //! The level is picked **once per process** at first use via
 //! [`is_x86_feature_detected!`]; `cargo build` on stable works
@@ -51,6 +58,7 @@
 //! `tests/simd_kernels.rs` then pin the new path to the portable
 //! reference automatically.
 
+use core::mem::MaybeUninit;
 use core::sync::atomic::{AtomicU8, Ordering};
 
 /// Output words per early-exit check of the bounded Hamming scan
@@ -68,20 +76,183 @@ fn counter_planes(votes: usize) -> usize {
     (usize::BITS - votes.leading_zeros()).max(2) as usize
 }
 
-/// Calls the const-generic counter `$kernel::<P, _>(args)` for the
-/// runtime plane count `$planes` in `2..=RIPPLE_PLANES`.
+/// The paper majority over `n` inputs as a counted vote: whether the
+/// tie vector joins it (even `n`), and the count threshold.
+#[allow(clippy::cast_possible_truncation)]
+fn paper_vote(n: usize) -> (bool, u32) {
+    let even_tie = n % 2 == 0;
+    (even_tie, ((n + usize::from(even_tie)) / 2 + 1) as u32)
+}
+
+/// Where the rows of a vote come from. Every row is at least as long
+/// as the vote's output.
+trait Rows {
+    /// Row `i`.
+    fn row(&self, i: usize) -> &[u64];
+
+    /// Row `i`, with no check of `i` where the source can skip it: the
+    /// AVX2 level's row read, once per row and word block. (On AVX2,
+    /// skipping the check took the 25 × 4 window vote from 1.16× to
+    /// 1.33× the speed of writing the spatial hypervectors.)
+    ///
+    /// # Safety
+    ///
+    /// Requires `i` below the vote's row count. The vote methods check
+    /// it against the source once per call: `ripple_majority_into`
+    /// resolves exactly `n` rows, and `window_majority_into` asserts
+    /// `starts.len() == samples · channels`.
+    #[inline(always)]
+    unsafe fn row_unchecked(&self, i: usize) -> &[u64] {
+        self.row(i)
+    }
+}
+
+/// Rows resolved once per call: the inputs of `ripple_majority_into`.
+impl Rows for [&[u64]] {
+    #[inline(always)]
+    fn row(&self, i: usize) -> &[u64] {
+        self[i]
+    }
+
+    /// # Safety
+    ///
+    /// As [`Rows::row_unchecked`].
+    #[inline(always)]
+    unsafe fn row_unchecked(&self, i: usize) -> &[u64] {
+        // SAFETY: `i` is below the row count, the length of this slice
+        // of resolved rows (the contract).
+        unsafe { self.get_unchecked(i) }
+    }
+}
+
+/// Rows of a flat table: row `i` is the `width` words at `starts[i]`.
+struct Table<'t> {
+    words: &'t [u64],
+    starts: &'t [usize],
+    width: usize,
+}
+
+impl<'t> Table<'t> {
+    /// Checks every row once, so the reads of each word block need not.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row runs past the end of `words`.
+    fn new(words: &'t [u64], starts: &'t [usize], width: usize) -> Self {
+        for &start in starts {
+            assert!(
+                start
+                    .checked_add(width)
+                    .is_some_and(|end| end <= words.len()),
+                "table row at word {start} runs past the table's {} words",
+                words.len()
+            );
+        }
+        Self {
+            words,
+            starts,
+            width,
+        }
+    }
+}
+
+impl Rows for Table<'_> {
+    #[inline(always)]
+    fn row(&self, i: usize) -> &[u64] {
+        let start = self.starts[i];
+        // SAFETY: `Table::new` checked `start + width <= words.len()`
+        // for every one of `starts` (the fields are private to this
+        // module).
+        unsafe { self.words.get_unchecked(start..start + self.width) }
+    }
+
+    /// # Safety
+    ///
+    /// As [`Rows::row_unchecked`].
+    #[inline(always)]
+    unsafe fn row_unchecked(&self, i: usize) -> &[u64] {
+        // SAFETY: `i` is below the row count, the length of `starts`
+        // (the contract), and `Table::new` checked every start as in
+        // `row`.
+        unsafe {
+            let start = *self.starts.get_unchecked(i);
+            self.words.get_unchecked(start..start + self.width)
+        }
+    }
+}
+
+/// A vote's inputs: input `i` is the paper majority of the `channels`
+/// rows `first + i·channels + c`, so with one channel it is row
+/// `first + i` itself.
+struct Inputs<'r, R: ?Sized> {
+    rows: &'r R,
+    first: usize,
+    channels: usize,
+}
+
+impl<R: ?Sized> Clone for Inputs<'_, R> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<R: ?Sized> Copy for Inputs<'_, R> {}
+
+impl<'r, R: Rows + ?Sized> Inputs<'r, R> {
+    /// Row `c` of input `i`, for spatial form `C` (see `with_planes!`).
+    #[inline(always)]
+    fn row<const C: usize>(self, i: usize, c: usize) -> &'r [u64] {
+        self.rows.row(self.index::<C>(i, c))
+    }
+
+    /// [`row`](Self::row) through [`Rows::row_unchecked`].
+    ///
+    /// # Safety
+    ///
+    /// Requires input `i` of the vote and `c` below its channel count.
+    #[inline(always)]
+    unsafe fn row_unchecked<const C: usize>(self, i: usize, c: usize) -> &'r [u64] {
+        // SAFETY: a row of an input of the vote is below its row count.
+        unsafe { self.rows.row_unchecked(self.index::<C>(i, c)) }
+    }
+
+    /// The source index of row `c` of input `i`.
+    #[inline(always)]
+    fn index<const C: usize>(self, i: usize, c: usize) -> usize {
+        let channels = if C == 0 { self.channels } else { C };
+        self.first + i * channels + c
+    }
+
+    /// The rows of input `i`, one input each: the inputs of a spatial
+    /// vote too wide for a closed form.
+    #[inline(always)]
+    fn rows_of(self, i: usize) -> Self {
+        Self {
+            rows: self.rows,
+            first: self.first + i * self.channels,
+            channels: 1,
+        }
+    }
+}
+
+/// Calls the const-generic counter `$kernel::<P, C, _>(args)` for the
+/// runtime plane count `$planes` in `2..=RIPPLE_PLANES`. `C` is the
+/// spatial form of the inputs: the channel count for the closed forms
+/// of one to five channels, and 0 for spatial votes counted by the
+/// tree. Both are fixed once per call, so the planes stay in registers
+/// and every input inlines its one form.
 macro_rules! with_planes {
-    ($planes:expr, $kernel:ident($($arg:expr),* $(,)?)) => {
+    ($planes:expr, $kernel:ident::<$c:tt>($($arg:expr),* $(,)?)) => {
         match $planes {
-            2 => $kernel::<2, _>($($arg),*),
-            3 => $kernel::<3, _>($($arg),*),
-            4 => $kernel::<4, _>($($arg),*),
-            5 => $kernel::<5, _>($($arg),*),
-            6 => $kernel::<6, _>($($arg),*),
-            7 => $kernel::<7, _>($($arg),*),
-            8 => $kernel::<8, _>($($arg),*),
-            9 => $kernel::<9, _>($($arg),*),
-            10 => $kernel::<10, _>($($arg),*),
+            2 => $kernel::<2, $c, _>($($arg),*),
+            3 => $kernel::<3, $c, _>($($arg),*),
+            4 => $kernel::<4, $c, _>($($arg),*),
+            5 => $kernel::<5, $c, _>($($arg),*),
+            6 => $kernel::<6, $c, _>($($arg),*),
+            7 => $kernel::<7, $c, _>($($arg),*),
+            8 => $kernel::<8, $c, _>($($arg),*),
+            9 => $kernel::<9, $c, _>($($arg),*),
+            10 => $kernel::<10, $c, _>($($arg),*),
             p => unreachable!("{p} counter planes outside 2..={}", $crate::simd::RIPPLE_PLANES),
         }
     };
@@ -417,12 +588,20 @@ impl Simd {
     /// `get(0) ⊕ get(1)`) have bit `c` of word `w` set. A threshold
     /// above the vote count yields all zeros.
     ///
-    /// The counter has a fixed depth: the bit width of the vote count,
-    /// fixed once per call. Inputs enter two at a time through a full
-    /// adder into plane 0, and its carry is half-added through the
-    /// higher planes with no branch. An even tie seeds plane 1 with
+    /// The counter is a Harley–Seal carry-save tree with as many planes
+    /// as the vote count has bits, fixed once per call. Inputs enter in
+    /// groups of eight: two full adders count each pair into plane 0,
+    /// their carries meet in full adders on planes 1 and 2, and only
+    /// the group's weight-8 carry is half-added through the higher
+    /// planes. The last 0–7 inputs enter as one group of four, two and
+    /// one each, the same way. An even tie seeds plane 1 with
     /// `get(0) ∨ get(1)`, which counts `get(0)`, `get(1)` and the tie
-    /// vector at once.
+    /// vector at once. No step branches on the data.
+    ///
+    /// `get` is called once per input, before any word is counted: the
+    /// rows are kept in a stack array of slices (16 KiB, sized for the
+    /// widest vote the counter holds), so no word block pays for a
+    /// fetch.
     ///
     /// The effective vote count `n + even_tie` must stay below
     /// `2^`[`RIPPLE_PLANES`]; wider votes belong to the streaming
@@ -451,23 +630,116 @@ impl Simd {
             votes < (1 << RIPPLE_PLANES),
             "vote of {n} inputs overflows the {RIPPLE_PLANES}-plane counter"
         );
-        for i in 0..n {
-            assert_eq!(get(i).len(), out.len(), "kernel operand length mismatch");
+        // Left uninitialized: filling 16 KiB would cost more than a
+        // small vote.
+        let mut slots = [MaybeUninit::<&[u64]>::uninit(); (1 << RIPPLE_PLANES) - 1];
+        for (i, slot) in slots[..n].iter_mut().enumerate() {
+            let row = get(i);
+            assert_eq!(row.len(), out.len(), "kernel operand length mismatch");
+            slot.write(row);
         }
+        // SAFETY: the loop above initialized the first `n` slots, and
+        // `MaybeUninit<T>` has the layout of `T`.
+        let rows: &[&[u64]] = unsafe { &*(core::ptr::from_ref(&slots[..n]) as *const [&[u64]]) };
         if threshold as usize > votes {
             // No count can reach the threshold.
             out.fill(0);
             return;
         }
+        let inputs = Inputs {
+            rows,
+            first: 0,
+            channels: 1,
+        };
+        self.vote_into::<1, _>(n, inputs, even_tie, threshold, out);
+    }
+
+    /// The unigram window vote over a flat table of bound rows: `out`
+    /// is the paper majority over `samples` spatial votes, where
+    /// spatial vote `t` is the paper majority of the `channels` rows
+    /// starting at words `starts[t·channels + c]` of `table`, each
+    /// `out.len()` words long.
+    ///
+    /// The spatial votes are never written. For each word block they
+    /// are computed in registers and feed the carry-save tree of
+    /// [`ripple_majority_into`](Self::ripple_majority_into) directly.
+    /// A spatial vote takes the closed form
+    /// [`BitslicedBundler::bundle_paper_into`](crate::hv64::BitslicedBundler::bundle_paper_into)
+    /// picks for its channel count (the row, OR, `maj3`,
+    /// `(x0 ∨ x1) ∧ (x2 ∨ x3)`, `maj5`), or is counted by the tree from
+    /// six channels on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples` or `channels` is zero, either vote reaches
+    /// `2^`[`RIPPLE_PLANES`] inputs with its tie vector, `starts` does
+    /// not hold `samples · channels` rows, or a row runs past the end
+    /// of `table`.
+    pub(crate) fn window_majority_into(
+        self,
+        samples: usize,
+        channels: usize,
+        table: &[u64],
+        starts: &[usize],
+        out: &mut [u64],
+    ) {
+        assert!(
+            samples > 0 && channels > 0,
+            "majority of an empty set is undefined"
+        );
+        for n in [samples, channels] {
+            assert!(
+                n + usize::from(n % 2 == 0) < (1 << RIPPLE_PLANES),
+                "vote of {n} inputs overflows the {RIPPLE_PLANES}-plane counter"
+            );
+        }
+        assert_eq!(
+            starts.len(),
+            samples * channels,
+            "a window of {samples} samples of {channels} channels needs one row per channel"
+        );
+        let rows = Table::new(table, starts, out.len());
+        let inputs = Inputs {
+            rows: &rows,
+            first: 0,
+            channels,
+        };
+        let (even_tie, threshold) = paper_vote(samples);
+        match channels {
+            1 => self.vote_into::<1, _>(samples, inputs, even_tie, threshold, out),
+            2 => self.vote_into::<2, _>(samples, inputs, even_tie, threshold, out),
+            3 => self.vote_into::<3, _>(samples, inputs, even_tie, threshold, out),
+            4 => self.vote_into::<4, _>(samples, inputs, even_tie, threshold, out),
+            5 => self.vote_into::<5, _>(samples, inputs, even_tie, threshold, out),
+            _ => self.vote_into::<0, _>(samples, inputs, even_tie, threshold, out),
+        }
+    }
+
+    /// The level dispatch of both vote methods, after their checks.
+    /// Requires `threshold <= n + even_tie < 2^RIPPLE_PLANES`, `n >= 2`
+    /// when `even_tie`, every spatial vote of `inputs` below
+    /// `2^RIPPLE_PLANES` inputs, and the row source holding every row
+    /// of the `n` inputs, each at least `out.len()` words.
+    fn vote_into<const C: usize, R: Rows + ?Sized>(
+        self,
+        n: usize,
+        inputs: Inputs<'_, R>,
+        even_tie: bool,
+        threshold: u32,
+        out: &mut [u64],
+    ) {
         match self {
-            Self::Portable => portable::ripple_majority_from(n, &get, even_tie, threshold, out, 0),
+            Self::Portable => {
+                portable::ripple_majority_from::<C, R>(n, inputs, even_tie, threshold, out, 0);
+            }
             #[cfg(target_arch = "x86_64")]
             Self::Avx2 => {
                 avx2_ready();
                 // SAFETY: `avx2_ready()` above verified (or aborted on a
                 // broken override) that this CPU has the AVX2 features
-                // the `#[target_feature]` kernel was compiled for.
-                unsafe { avx2::ripple_majority_into(n, &get, even_tie, threshold, out) }
+                // the `#[target_feature]` kernel was compiled for; the
+                // vote and row bounds are this fn's own contract.
+                unsafe { avx2::ripple_majority_into::<C, R>(n, inputs, even_tie, threshold, out) }
             }
         }
     }
@@ -736,7 +1008,7 @@ pub(crate) fn full_add(a: u64, b: u64, c: u64) -> (u64, u64) {
 /// the auto-vectorizer can widen it, and simple enough to audit — this
 /// is the reference implementation of every kernel.
 mod portable {
-    use super::{full_add, RotGeom, SCAN_BLOCK_WORDS64};
+    use super::{full_add, Inputs, RotGeom, Rows, SCAN_BLOCK_WORDS64};
 
     /// Applies `f` to 4-word blocks of three equal-length slices
     /// (two inputs, one output), then to the remainder wordwise.
@@ -874,82 +1146,83 @@ mod portable {
         }
     }
 
-    /// The fixed-depth vote counter from word `start` to the end — also
+    /// The carry-save vote counter from word `start` to the end — also
     /// the tail loop of the AVX2 version, which is why the range is a
     /// parameter. Requires `threshold <= n + even_tie`.
-    pub(super) fn ripple_majority_from<'a, F>(
+    pub(super) fn ripple_majority_from<const C: usize, R: Rows + ?Sized>(
         n: usize,
-        get: &F,
+        inputs: Inputs<'_, R>,
         even_tie: bool,
         threshold: u32,
         out: &mut [u64],
         start: usize,
-    ) where
-        F: Fn(usize) -> &'a [u64],
-    {
+    ) {
         let planes = super::counter_planes(n + usize::from(even_tie));
-        with_planes!(planes, vote_words(n, get, even_tie, threshold, out, start));
+        with_planes!(
+            planes,
+            vote_words::<C>(n, inputs, even_tie, threshold, out, start)
+        );
     }
 
     /// [`ripple_majority_from`] with its `P` counter planes in
     /// registers: four words per step, then word by word.
-    fn vote_words<'a, const P: usize, F>(
+    fn vote_words<const P: usize, const C: usize, R: Rows + ?Sized>(
         n: usize,
-        get: &F,
+        inputs: Inputs<'_, R>,
         even_tie: bool,
         threshold: u32,
         out: &mut [u64],
         start: usize,
-    ) where
-        F: Fn(usize) -> &'a [u64],
-    {
+    ) {
         let mut wi = start;
         while wi + 4 <= out.len() {
-            let v: [u64; 4] = vote_block::<P, 4, F>(n, get, even_tie, threshold, wi);
+            let v: [u64; 4] = vote_block::<P, C, 4, R>(n, inputs, even_tie, threshold, wi);
             out[wi..wi + 4].copy_from_slice(&v);
             wi += 4;
         }
         for (w, o) in out.iter_mut().enumerate().skip(wi) {
-            [*o] = vote_block::<P, 1, F>(n, get, even_tie, threshold, w);
+            [*o] = vote_block::<P, C, 1, R>(n, inputs, even_tie, threshold, w);
         }
     }
 
     /// The vote over words `wi..wi + L`, each counter plane an `[u64; L]`.
     #[inline(always)]
-    fn vote_block<'a, const P: usize, const L: usize, F>(
+    fn vote_block<const P: usize, const C: usize, const L: usize, R: Rows + ?Sized>(
         n: usize,
-        get: &F,
+        inputs: Inputs<'_, R>,
         even_tie: bool,
         threshold: u32,
         wi: usize,
-    ) -> [u64; L]
-    where
-        F: Fn(usize) -> &'a [u64],
-    {
-        let load = |i: usize| -> [u64; L] {
-            let mut x = [0u64; L];
-            x.copy_from_slice(&get(i)[wi..wi + L]);
-            x
-        };
+    ) -> [u64; L] {
         let mut planes = [[0u64; L]; P];
         let mut i = if even_tie {
-            planes[1] = lanes(load(0), load(1), |a, b| a | b);
+            let x0 = input_block::<C, L, R>(inputs, 0, wi);
+            let x1 = input_block::<C, L, R>(inputs, 1, wi);
+            planes[1] = lanes(x0, x1, |a, b| a | b);
             2
         } else {
-            planes[0] = load(0);
+            planes[0] = input_block::<C, L, R>(inputs, 0, wi);
             1
         };
-        while i + 2 <= n {
-            let (a, b) = (load(i), load(i + 1));
-            let mut carry = [0u64; L];
-            for (((s, c), a), b) in planes[0].iter_mut().zip(&mut carry).zip(a).zip(b) {
-                (*s, *c) = full_add(*s, a, b);
-            }
+        // The plane guards are constants: a vote with fewer planes
+        // never has the inputs left for the wider group.
+        while P > 3 && i + 8 <= n {
+            let carry = csa8::<P, C, L, R>(&mut planes, inputs, i, wi);
+            half_add_from(&mut planes, 3, carry);
+            i += 8;
+        }
+        if P > 2 && i + 4 <= n {
+            let carry = csa4::<P, C, L, R>(&mut planes, inputs, i, wi);
+            half_add_from(&mut planes, 2, carry);
+            i += 4;
+        }
+        if i + 2 <= n {
+            let carry = csa2::<P, C, L, R>(&mut planes, inputs, i, wi);
             half_add_from(&mut planes, 1, carry);
             i += 2;
         }
         if i < n {
-            half_add_from(&mut planes, 0, load(i));
+            half_add_from(&mut planes, 0, input_block::<C, L, R>(inputs, i, wi));
         }
         // count >= threshold, decided from the lowest plane up: a set
         // threshold bit needs the count bit, a clear one is met by it.
@@ -962,6 +1235,123 @@ mod portable {
             };
         }
         geq
+    }
+
+    /// Harley–Seal pair: counts inputs `i` and `i + 1` into plane 0 and
+    /// returns the carry, of weight 2.
+    #[inline(always)]
+    fn csa2<const P: usize, const C: usize, const L: usize, R: Rows + ?Sized>(
+        planes: &mut [[u64; L]; P],
+        inputs: Inputs<'_, R>,
+        i: usize,
+        wi: usize,
+    ) -> [u64; L] {
+        let a = input_block::<C, L, R>(inputs, i, wi);
+        let b = input_block::<C, L, R>(inputs, i + 1, wi);
+        let carry;
+        (planes[0], carry) = full_add_lanes(planes[0], a, b);
+        carry
+    }
+
+    /// Harley–Seal group of four: two pairs, whose carries meet in
+    /// plane 1; returns the carry of weight 4.
+    #[inline(always)]
+    fn csa4<const P: usize, const C: usize, const L: usize, R: Rows + ?Sized>(
+        planes: &mut [[u64; L]; P],
+        inputs: Inputs<'_, R>,
+        i: usize,
+        wi: usize,
+    ) -> [u64; L] {
+        let a = csa2::<P, C, L, R>(planes, inputs, i, wi);
+        let b = csa2::<P, C, L, R>(planes, inputs, i + 2, wi);
+        let carry;
+        (planes[1], carry) = full_add_lanes(planes[1], a, b);
+        carry
+    }
+
+    /// Harley–Seal group of eight: two groups of four, whose carries
+    /// meet in plane 2; returns the carry of weight 8.
+    #[inline(always)]
+    fn csa8<const P: usize, const C: usize, const L: usize, R: Rows + ?Sized>(
+        planes: &mut [[u64; L]; P],
+        inputs: Inputs<'_, R>,
+        i: usize,
+        wi: usize,
+    ) -> [u64; L] {
+        let a = csa4::<P, C, L, R>(planes, inputs, i, wi);
+        let b = csa4::<P, C, L, R>(planes, inputs, i + 4, wi);
+        let carry;
+        (planes[2], carry) = full_add_lanes(planes[2], a, b);
+        carry
+    }
+
+    /// Input `i` of a vote over words `wi..wi + L`: a row, or a
+    /// sample's spatial vote in spatial form `C` (see `with_planes!`).
+    #[inline(always)]
+    fn input_block<const C: usize, const L: usize, R: Rows + ?Sized>(
+        inputs: Inputs<'_, R>,
+        i: usize,
+        wi: usize,
+    ) -> [u64; L] {
+        let row = |c| row_block::<C, L, R>(inputs, i, c, wi);
+        match C {
+            1 => row(0),
+            2 => lanes(row(0), row(1), |a, b| a | b),
+            3 => full_add_lanes(row(0), row(1), row(2)).1,
+            4 => {
+                let (a, b, c, d) = (row(0), row(1), row(2), row(3));
+                core::array::from_fn(|k| (a[k] | b[k]) & (c[k] | d[k]))
+            }
+            5 => {
+                let (a, b, c, d, e) = (row(0), row(1), row(2), row(3), row(4));
+                core::array::from_fn(|k| maj5_word(a[k], b[k], c[k], d[k], e[k]))
+            }
+            _ => wide_vote(inputs.rows_of(i), inputs.channels, wi),
+        }
+    }
+
+    /// Words `wi..wi + L` of row `c` of input `i`.
+    #[inline(always)]
+    fn row_block<const C: usize, const L: usize, R: Rows + ?Sized>(
+        inputs: Inputs<'_, R>,
+        i: usize,
+        c: usize,
+        wi: usize,
+    ) -> [u64; L] {
+        let mut x = [0u64; L];
+        x.copy_from_slice(&inputs.row::<C>(i, c)[wi..wi + L]);
+        x
+    }
+
+    /// The paper majority of `n` rows, counted by the tree: a spatial
+    /// vote wider than the closed forms. Kept out of line, so the
+    /// closed forms inline into every input of the temporal tree.
+    #[inline(never)]
+    fn wide_vote<const L: usize, R: Rows + ?Sized>(
+        rows: Inputs<'_, R>,
+        n: usize,
+        wi: usize,
+    ) -> [u64; L] {
+        let (even_tie, threshold) = super::paper_vote(n);
+        if n + usize::from(even_tie) < 16 {
+            vote_block::<4, 1, L, R>(n, rows, even_tie, threshold, wi)
+        } else {
+            vote_block::<{ super::RIPPLE_PLANES }, 1, L, R>(n, rows, even_tie, threshold, wi)
+        }
+    }
+
+    /// [`full_add`] lane by lane: `(sum, carry)`.
+    #[inline(always)]
+    fn full_add_lanes<const L: usize>(
+        a: [u64; L],
+        b: [u64; L],
+        c: [u64; L],
+    ) -> ([u64; L], [u64; L]) {
+        let mut out = ([0u64; L], [0u64; L]);
+        for k in 0..L {
+            (out.0[k], out.1[k]) = full_add(a[k], b[k], c[k]);
+        }
+        out
     }
 
     /// `f` applied lane by lane.
@@ -1088,7 +1478,7 @@ mod avx2 {
         _mm_cvtsi32_si128,
     };
 
-    use super::{RotGeom, SCAN_BLOCK_WORDS64};
+    use super::{Inputs, RotGeom, Rows, SCAN_BLOCK_WORDS64};
 
     /// Unaligned 4-word load at `a[i..i + 4]`.
     ///
@@ -1465,29 +1855,29 @@ mod avx2 {
         }
     }
 
-    /// The fixed-depth vote counter over 256-bit lanes, 256 components
+    /// The carry-save vote counter over 256-bit lanes, 256 components
     /// per step; tail words run the portable loop.
     ///
     /// # Safety
     ///
     /// Requires AVX2, `threshold <= n + even_tie < 2^RIPPLE_PLANES`,
-    /// `n >= 2` when `even_tie`, and every `get(i)` at least
-    /// `out.len()` words.
+    /// `n >= 2` when `even_tie`, every spatial vote of `inputs` below
+    /// `2^RIPPLE_PLANES` inputs, and the row source holding every row
+    /// of the `n` inputs, each at least `out.len()` words.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn ripple_majority_into<'a, F>(
+    pub(super) unsafe fn ripple_majority_into<const C: usize, R: Rows + ?Sized>(
         n: usize,
-        get: &F,
+        inputs: Inputs<'_, R>,
         even_tie: bool,
         threshold: u32,
         out: &mut [u64],
-    ) where
-        F: Fn(usize) -> &'a [u64],
-    {
+    ) {
         let planes = super::counter_planes(n + usize::from(even_tie));
-        // SAFETY: this fn's contract is `vote_lanes`'s, and
-        // `counter_planes` picks a `P` with `n + even_tie < 2^P`.
-        let end = unsafe { with_planes!(planes, vote_lanes(n, get, even_tie, threshold, out)) };
-        super::portable::ripple_majority_from(n, get, even_tie, threshold, out, end);
+        let end =
+            // SAFETY: this fn's contract is `vote_lanes`'s, and
+            // `counter_planes` picks a `P` with `n + even_tie < 2^P`.
+            unsafe { with_planes!(planes, vote_lanes::<C>(n, inputs, even_tie, threshold, out)) };
+        super::portable::ripple_majority_from::<C, R>(n, inputs, even_tie, threshold, out, end);
     }
 
     /// [`ripple_majority_into`] with its `P` counter planes in
@@ -1496,59 +1886,224 @@ mod avx2 {
     ///
     /// # Safety
     ///
-    /// Requires AVX2, `threshold <= n + even_tie < 2^P`, `n >= 2` when
-    /// `even_tie`, and every `get(i)` at least `out.len()` words.
+    /// As [`ripple_majority_into`], with `2^P` for `2^RIPPLE_PLANES`.
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn vote_lanes<'a, const P: usize, F>(
+    unsafe fn vote_lanes<const P: usize, const C: usize, R: Rows + ?Sized>(
         n: usize,
-        get: &F,
+        inputs: Inputs<'_, R>,
         even_tie: bool,
         threshold: u32,
         out: &mut [u64],
-    ) -> usize
-    where
-        F: Fn(usize) -> &'a [u64],
-    {
+    ) -> usize {
         let n_words = out.len();
         let mut wi = 0;
         while wi + 4 <= n_words {
-            // SAFETY: `wi + 4 <= n_words` bounds every lane; each
-            // `get(i)` slice matches `out` per the caller contract;
-            // AVX2 flows from the enclosing `#[target_feature]` contract.
+            // SAFETY: `wi + 4 <= n_words` bounds the store and, as every
+            // row is at least `n_words` long, every row load; the vote
+            // bounds are this fn's contract; AVX2 flows from the
+            // enclosing `#[target_feature]` contract.
             unsafe {
-                let mut planes = [_mm256_setzero_si256(); P];
-                let mut i = if even_tie {
-                    planes[1] = _mm256_or_si256(loadu(get(0), wi), loadu(get(1), wi));
-                    2
-                } else {
-                    planes[0] = loadu(get(0), wi);
-                    1
-                };
-                while i + 2 <= n {
-                    let (sum, carry) =
-                        full_add_v(planes[0], loadu(get(i), wi), loadu(get(i + 1), wi));
-                    planes[0] = sum;
-                    half_add_from_v(&mut planes, 1, carry);
-                    i += 2;
-                }
-                if i < n {
-                    half_add_from_v(&mut planes, 0, loadu(get(i), wi));
-                }
-                // count >= threshold, decided as on the portable level.
-                let mut geq = _mm256_set1_epi8(-1);
-                for (p, &plane) in planes.iter().enumerate() {
-                    geq = if threshold >> p & 1 == 1 {
-                        _mm256_and_si256(geq, plane)
-                    } else {
-                        _mm256_or_si256(geq, plane)
-                    };
-                }
-                storeu(out, wi, geq);
+                let v = vote_v::<P, C, R>(n, inputs, even_tie, threshold, wi);
+                storeu(out, wi, v);
             }
             wi += 4;
         }
         wi
+    }
+
+    // The helpers below are `#[inline(always)]` with no
+    // `#[target_feature]` of their own (the two cannot be combined):
+    // they are only called from `vote_lanes` and `wide_vote_v`, and
+    // inline into them, so their intrinsics compile for AVX2 with the
+    // planes and the row pointers in registers.
+
+    /// The vote over words `wi..wi + 4`: the Harley–Seal count of
+    /// [`super::portable`]'s `vote_block`, over 256-bit planes.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2, `threshold <= n + even_tie < 2^P`, `n >= 2` when
+    /// `even_tie`, every spatial vote of `inputs` below
+    /// `2^RIPPLE_PLANES` inputs, and `wi + 4` words in every row.
+    #[inline(always)]
+    unsafe fn vote_v<const P: usize, const C: usize, R: Rows + ?Sized>(
+        n: usize,
+        inputs: Inputs<'_, R>,
+        even_tie: bool,
+        threshold: u32,
+        wi: usize,
+    ) -> __m256i {
+        // SAFETY: the plane guards below keep every constant plane
+        // index under `P`, and the half-add chains end at plane
+        // `P - 1`, which the count never overflows (the contract); the
+        // row and AVX2 bounds are this fn's contract too.
+        unsafe {
+            let mut planes = [_mm256_setzero_si256(); P];
+            let mut i = if even_tie {
+                let x0 = input_v::<C, R>(inputs, 0, wi);
+                planes[1] = _mm256_or_si256(x0, input_v::<C, R>(inputs, 1, wi));
+                2
+            } else {
+                planes[0] = input_v::<C, R>(inputs, 0, wi);
+                1
+            };
+            while P > 3 && i + 8 <= n {
+                let carry = csa8_v::<P, C, R>(&mut planes, inputs, i, wi);
+                half_add_from_v(&mut planes, 3, carry);
+                i += 8;
+            }
+            if P > 2 && i + 4 <= n {
+                let carry = csa4_v::<P, C, R>(&mut planes, inputs, i, wi);
+                half_add_from_v(&mut planes, 2, carry);
+                i += 4;
+            }
+            if i + 2 <= n {
+                let carry = csa2_v::<P, C, R>(&mut planes, inputs, i, wi);
+                half_add_from_v(&mut planes, 1, carry);
+                i += 2;
+            }
+            if i < n {
+                half_add_from_v(&mut planes, 0, input_v::<C, R>(inputs, i, wi));
+            }
+            // count >= threshold, decided as on the portable level.
+            let mut geq = _mm256_set1_epi8(-1);
+            for (p, &plane) in planes.iter().enumerate() {
+                geq = if threshold >> p & 1 == 1 {
+                    _mm256_and_si256(geq, plane)
+                } else {
+                    _mm256_or_si256(geq, plane)
+                };
+            }
+            geq
+        }
+    }
+
+    /// Harley–Seal pair: counts inputs `i` and `i + 1` into plane 0 and
+    /// returns the carry, of weight 2.
+    ///
+    /// # Safety
+    ///
+    /// As [`input_v`].
+    #[inline(always)]
+    unsafe fn csa2_v<const P: usize, const C: usize, R: Rows + ?Sized>(
+        planes: &mut [__m256i; P],
+        inputs: Inputs<'_, R>,
+        i: usize,
+        wi: usize,
+    ) -> __m256i {
+        // SAFETY: this fn's contract is `input_v`'s.
+        unsafe {
+            let (a, b) = (
+                input_v::<C, R>(inputs, i, wi),
+                input_v::<C, R>(inputs, i + 1, wi),
+            );
+            let carry;
+            (planes[0], carry) = full_add_v(planes[0], a, b);
+            carry
+        }
+    }
+
+    /// Harley–Seal group of four: two pairs, whose carries meet in
+    /// plane 1; returns the carry of weight 4.
+    ///
+    /// # Safety
+    ///
+    /// As [`input_v`].
+    #[inline(always)]
+    unsafe fn csa4_v<const P: usize, const C: usize, R: Rows + ?Sized>(
+        planes: &mut [__m256i; P],
+        inputs: Inputs<'_, R>,
+        i: usize,
+        wi: usize,
+    ) -> __m256i {
+        // SAFETY: this fn's contract is `csa2_v`'s.
+        unsafe {
+            let a = csa2_v::<P, C, R>(planes, inputs, i, wi);
+            let b = csa2_v::<P, C, R>(planes, inputs, i + 2, wi);
+            let carry;
+            (planes[1], carry) = full_add_v(planes[1], a, b);
+            carry
+        }
+    }
+
+    /// Harley–Seal group of eight: two groups of four, whose carries
+    /// meet in plane 2; returns the carry of weight 8.
+    ///
+    /// # Safety
+    ///
+    /// As [`input_v`].
+    #[inline(always)]
+    unsafe fn csa8_v<const P: usize, const C: usize, R: Rows + ?Sized>(
+        planes: &mut [__m256i; P],
+        inputs: Inputs<'_, R>,
+        i: usize,
+        wi: usize,
+    ) -> __m256i {
+        // SAFETY: this fn's contract is `csa4_v`'s.
+        unsafe {
+            let a = csa4_v::<P, C, R>(planes, inputs, i, wi);
+            let b = csa4_v::<P, C, R>(planes, inputs, i + 4, wi);
+            let carry;
+            (planes[2], carry) = full_add_v(planes[2], a, b);
+            carry
+        }
+    }
+
+    /// Input `i` of a vote over words `wi..wi + 4`: a row, or a
+    /// sample's spatial vote in spatial form `C` (see `with_planes!`).
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2, input `i` of the vote, `wi + 4` words in every
+    /// row, and every spatial vote of `inputs` below `2^RIPPLE_PLANES`
+    /// inputs.
+    #[inline(always)]
+    unsafe fn input_v<const C: usize, R: Rows + ?Sized>(
+        inputs: Inputs<'_, R>,
+        i: usize,
+        wi: usize,
+    ) -> __m256i {
+        // SAFETY: every row holds `wi + 4` words (the contract); the
+        // rest are register-only intrinsics; AVX2 is the contract too.
+        unsafe {
+            let row = |c| loadu(inputs.row_unchecked::<C>(i, c), wi);
+            match C {
+                1 => row(0),
+                2 => _mm256_or_si256(row(0), row(1)),
+                3 => full_add_v(row(0), row(1), row(2)).1,
+                4 => _mm256_and_si256(
+                    _mm256_or_si256(row(0), row(1)),
+                    _mm256_or_si256(row(2), row(3)),
+                ),
+                5 => maj5_v(row(0), row(1), row(2), row(3), row(4)),
+                _ => wide_vote_v(inputs.rows_of(i), inputs.channels, wi),
+            }
+        }
+    }
+
+    /// The paper majority of `n` rows, counted by the tree: a spatial
+    /// vote wider than the closed forms. Kept out of line, so the
+    /// closed forms inline into every input of the temporal tree.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2, `wi + 4` words in every row, and `n` plus its tie
+    /// vector below `2^RIPPLE_PLANES`.
+    #[inline(never)]
+    #[target_feature(enable = "avx2")]
+    unsafe fn wide_vote_v<R: Rows + ?Sized>(rows: Inputs<'_, R>, n: usize, wi: usize) -> __m256i {
+        let (even_tie, threshold) = super::paper_vote(n);
+        // SAFETY: the paper threshold is at most the vote count, and
+        // both plane counts hold it (16 > the vote on the first arm,
+        // the contract on the second); rows and AVX2 are the contract.
+        unsafe {
+            if n + usize::from(even_tie) < 16 {
+                vote_v::<4, 1, R>(n, rows, even_tie, threshold, wi)
+            } else {
+                vote_v::<{ super::RIPPLE_PLANES }, 1, R>(n, rows, even_tie, threshold, wi)
+            }
+        }
     }
 
     /// Half-adds `carry` into planes `first..P`. The caller bounds the
@@ -2013,12 +2568,31 @@ mod tests {
         }
     }
 
+    /// Vote sizes on either side of every tree group (8, 4, 2, 1) and
+    /// of the plane-count steps, and the widest vote the counter holds;
+    /// widths whose tail after the last 4-word block is 0–3 words.
+    /// Miri skips only the 1022-input vote and the widths 3 and 6.
+    const RIPPLE_VOTES: &[usize] = if cfg!(miri) {
+        &[
+            1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 21, 24, 25, 31, 32, 63, 64, 65,
+        ]
+    } else {
+        &[
+            1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 21, 24, 25, 31, 32, 63, 64, 65, 1022,
+        ]
+    };
+    const RIPPLE_WIDTHS: &[usize] = if cfg!(miri) {
+        &[1, 2, 4, 7, 11]
+    } else {
+        &[1, 2, 3, 4, 6, 7, 11]
+    };
+
     #[test]
     fn ripple_majority_matches_counting_reference_on_all_levels() {
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(0x55);
         for level in levels() {
-            for len in [1usize, 4, 7, 11] {
-                for n in [3usize, 6, 7, 9, 21, 24, 25, 31, 32, 63, 64] {
+            for &len in RIPPLE_WIDTHS {
+                for &n in RIPPLE_VOTES {
                     let xs: Vec<Vec<u64>> = (0..n).map(|_| words(len, &mut rng)).collect();
                     let even = n % 2 == 0;
                     let n_eff = n + usize::from(even);
@@ -2027,7 +2601,11 @@ mod tests {
                     let mut out = vec![0u64; len];
                     level.ripple_majority_into(n, |i| xs[i].as_slice(), even, threshold, &mut out);
                     // Counting reference with the tie vector appended.
-                    let tie: Vec<u64> = xs[0].iter().zip(&xs[1]).map(|(a, b)| a ^ b).collect();
+                    let tie: Vec<u64> = if even {
+                        xs[0].iter().zip(&xs[1]).map(|(a, b)| a ^ b).collect()
+                    } else {
+                        vec![0; len]
+                    };
                     for (j, &got) in out.iter().enumerate() {
                         let mut expected = 0u64;
                         for bit in 0..64 {
@@ -2044,6 +2622,88 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The paper majority of one lane's votes: the input itself for one
+    /// vote; with an even count the first two votes' XOR joins, and the
+    /// lane is set at a count above half.
+    fn paper_bit(votes: &[bool]) -> bool {
+        let n = votes.len();
+        if n == 1 {
+            return votes[0];
+        }
+        let even = n % 2 == 0;
+        let count =
+            votes.iter().filter(|&&v| v).count() + usize::from(even && votes[0] != votes[1]);
+        count > (n + usize::from(even)) / 2
+    }
+
+    /// The fused window vote against a per-bit reference that writes
+    /// every spatial vote first: 1–8 channels (every closed form, the
+    /// tree from six), window lengths across the tree groups, widths
+    /// whose tail after the last 4-word block is 1–3 words, and rows
+    /// drawn with repeats from a small table, as a bind table is.
+    #[test]
+    fn window_majority_matches_spatial_then_temporal_reference_on_all_levels() {
+        let mut rng = Xoshiro256PlusPlus::seed_from_u64(0x5A);
+        let (widths, channel_counts, window_lengths): (&[usize], &[usize], &[usize]) = if cfg!(miri)
+        {
+            (&[2, 5, 7], &[1, 4, 6], &[1, 2, 9, 25])
+        } else {
+            (
+                &[1, 2, 3, 5, 6, 7, 157],
+                &[1, 2, 3, 4, 5, 6, 7, 8],
+                &[
+                    1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 24, 25, 31, 32, 33, 64, 65,
+                ],
+            )
+        };
+        let bit = |x: &[u64], i: usize| x[i / 64] >> (i % 64) & 1 == 1;
+        for &width in widths {
+            let table_rows = 12;
+            let table = words(table_rows * width, &mut rng);
+            for &channels in channel_counts {
+                for &samples in window_lengths {
+                    if width == 157 && samples != 25 {
+                        continue;
+                    }
+                    let starts: Vec<usize> = (0..samples * channels)
+                        .map(|_| rng.next_below(table_rows as u32) as usize * width)
+                        .collect();
+                    let row = |i: usize| &table[starts[i]..starts[i] + width];
+                    let mut expected = vec![0u64; width];
+                    for b in 0..width * 64 {
+                        let spatial: Vec<bool> = (0..samples)
+                            .map(|t| {
+                                let votes: Vec<bool> = (0..channels)
+                                    .map(|c| bit(row(t * channels + c), b))
+                                    .collect();
+                                paper_bit(&votes)
+                            })
+                            .collect();
+                        if paper_bit(&spatial) {
+                            expected[b / 64] |= 1 << (b % 64);
+                        }
+                    }
+                    for level in levels() {
+                        let mut out = vec![u64::MAX; width];
+                        level.window_majority_into(samples, channels, &table, &starts, &mut out);
+                        assert_eq!(
+                            out, expected,
+                            "{level:?} width {width} channels {channels} samples {samples}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "runs past")]
+    fn window_majority_rejects_a_row_past_the_table() {
+        let table = vec![0u64; 8];
+        let mut out = vec![0u64; 4];
+        Simd::Portable.window_majority_into(1, 2, &table, &[0, 5], &mut out);
     }
 
     /// One `csa_step` must behave as a per-counter half addition:

@@ -20,6 +20,12 @@
 //! portable reference. The dispatch methods on
 //! [`Simd`](crate::simd::Simd) are the public seam through which both
 //! sides are callable for side-by-side testing.
+//!
+//! The benchmark times every entry too: perfbench's
+//! `layers::time_kernel` names each `KERNEL_TWINS` kernel and panics on
+//! any it does not know, and `BENCHMARK.json` lists a
+//! `simd.<kernel>.<level>.ns` row for each. So adding or renaming an
+//! entry is a benchmark change.
 
 /// One registered SIMD kernel: the `#[target_feature]` specialization
 /// and the portable reference it is differentially fuzzed against.
@@ -103,6 +109,7 @@ pub const KERNEL_HELPERS: &[&str] = &[
     "full_add_v",
     "maj5_v",
     "vote_lanes",
+    "wide_vote_v",
     "half_add_from_v",
 ];
 

@@ -111,7 +111,7 @@ fn bundling_planes_match_golden_under_every_level() {
     for_each_level(|level| {
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(0x03);
         // 1..=12 inputs crosses the identity, OR, maj-3, maj-5 (with
-        // and without the tie vector), and generic ripple-counter arms.
+        // and without the tie vector), and carry-save-tree arms.
         for n in 1usize..=12 {
             let n_words32 = 1 + rng.next_below(24) as usize;
             let hvs: Vec<BinaryHv> = (0..n)
