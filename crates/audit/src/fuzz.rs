@@ -1,5 +1,6 @@
 //! The seeded differential fuzzer: every kernel registered in
-//! [`hdc::twins`] is run AVX2-vs-portable-vs-naive at adversarial
+//! [`hdc::twins`] is run at every level this CPU has ([`Simd::available`]:
+//! portable, AVX2, AVX-512) against a naive reference at adversarial
 //! widths, the packed [`CounterBundler`] and the fused unigram window
 //! vote are checked against per-bit counting, and the wire decoder is
 //! fed mutated frames.
@@ -11,9 +12,10 @@
 //! word loop) and share no code with the kernels under test.
 //!
 //! Coverage is forced from the registry: [`families`] fails if a
-//! [`KERNEL_TWINS`](hdc::twins::KERNEL_TWINS) entry has no fuzzer, so
-//! registering a kernel without adding a differential family here
-//! breaks the `audit fuzz` CI gate.
+//! [`KERNEL_TWINS`](hdc::twins::KERNEL_TWINS) entry has no fuzzer, and
+//! [`run`] fails if a kernel's family did not run one of the entry's
+//! registered levels that this CPU has. So registering a kernel, or a
+//! level of one, without fuzzing it breaks the `audit fuzz` CI gate.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
@@ -95,12 +97,14 @@ pub fn families() -> Result<Vec<&'static str>, String> {
 }
 
 /// Runs one `(family, seed)` case, converting panics into replayable
-/// failures.
+/// failures. Returns the SIMD levels the case checked: every available
+/// level for a kernel or window-vote case, none for the others, which
+/// run on the process's active level.
 ///
 /// # Errors
 ///
 /// A mismatch description or panic payload.
-pub fn run_case(family: &'static str, seed: u64) -> Result<(), String> {
+pub fn run_case(family: &'static str, seed: u64) -> Result<Vec<Simd>, String> {
     let result = catch_unwind(AssertUnwindSafe(|| dispatch(family, seed)));
     match result {
         Ok(r) => r,
@@ -115,22 +119,67 @@ pub fn run_case(family: &'static str, seed: u64) -> Result<(), String> {
     }
 }
 
+/// What a run found, and which levels its cases checked.
+#[derive(Debug, Clone, Default)]
+pub struct FuzzReport {
+    /// Every failing case, and every kernel family that left one of its
+    /// registered levels unchecked.
+    pub failures: Vec<FuzzFailure>,
+    /// Passing cases that checked each level, in [`Simd::available`]
+    /// order.
+    pub cases_per_level: Vec<(Simd, u64)>,
+}
+
 /// Runs `n_seeds` consecutive seeds (starting at `base`) for each
-/// family, collecting failures.
-pub fn run(families: &[&'static str], n_seeds: u64, base: u64) -> Vec<FuzzFailure> {
-    let mut failures = Vec::new();
+/// family, collecting failures and the levels each case checked. A
+/// kernel family fails, as seed `base`, when none of its cases checked
+/// a level its [`KERNEL_TWINS`] entry registers and this CPU has.
+pub fn run(families: &[&'static str], n_seeds: u64, base: u64) -> FuzzReport {
+    let mut report = FuzzReport {
+        failures: Vec::new(),
+        cases_per_level: Simd::available().into_iter().map(|l| (l, 0)).collect(),
+    };
     for &family in families {
+        let mut ran = Vec::new();
         for seed in base..base + n_seeds {
-            if let Err(message) = run_case(family, seed) {
-                failures.push(FuzzFailure {
+            match run_case(family, seed) {
+                Ok(levels) => {
+                    for (level, cases) in &mut report.cases_per_level {
+                        *cases += u64::from(levels.contains(level));
+                    }
+                    ran.extend(levels);
+                }
+                Err(message) => report.failures.push(FuzzFailure {
                     family,
                     seed,
                     message,
+                }),
+            }
+        }
+        if let Some(twin) = KERNEL_TWINS.iter().find(|t| t.kernel == family) {
+            for level in unchecked_levels(twin.levels, &ran) {
+                report.failures.push(FuzzFailure {
+                    family,
+                    seed: base,
+                    message: format!(
+                        "registered at level `{level}`, which this CPU runs, but no case \
+                         of the family checked that level"
+                    ),
                 });
             }
         }
     }
-    failures
+    report
+}
+
+/// The `registered` levels this CPU has that are not among `ran`.
+fn unchecked_levels(registered: &[&'static str], ran: &[Simd]) -> Vec<&'static str> {
+    Simd::available()
+        .into_iter()
+        .filter(|level| !ran.contains(level))
+        .map(Simd::name)
+        .filter(|name| registered.contains(name))
+        .collect()
 }
 
 /// FNV-1a over the family name: decorrelates the per-family streams so
@@ -144,7 +193,7 @@ fn fnv1a(s: &str) -> u64 {
     h
 }
 
-fn dispatch(family: &str, seed: u64) -> Result<(), String> {
+fn dispatch(family: &str, seed: u64) -> Result<Vec<Simd>, String> {
     let mut rng = XorShift64::new(seed ^ fnv1a(family));
     match family {
         "xor_into" => fuzz_xor_into(&mut rng),
@@ -171,25 +220,23 @@ fn dispatch(family: &str, seed: u64) -> Result<(), String> {
 // Shared generators
 // ---------------------------------------------------------------------------
 
-/// The SIMD levels to run side by side: the portable reference always,
-/// plus AVX2 when the running CPU has it (and the scalar override is
-/// not forcing it off).
-fn levels() -> Vec<Simd> {
-    let mut v = vec![Simd::Portable];
-    #[cfg(target_arch = "x86_64")]
-    {
-        if Simd::detect() == Simd::Avx2 {
-            v.push(Simd::Avx2);
-        }
+/// Runs `check` at every level this CPU has ([`Simd::available`], the
+/// portable reference first), stopping at the first failure; returns
+/// the levels it ran.
+fn each_level(mut check: impl FnMut(Simd) -> Result<(), String>) -> Result<Vec<Simd>, String> {
+    let levels = Simd::available();
+    for &level in &levels {
+        check(level)?;
     }
-    v
+    Ok(levels)
 }
 
 /// Widths (in `u64` words) that sit on the kernels' unrolling and
 /// tail-handling boundaries: the 4-word portable unroll, the 4-word
-/// (256-bit) AVX2 step, and the 8-word scan block.
+/// (256-bit) AVX2 step, the 8-word scan block and AVX-512 lane with its
+/// 1–7-word masked tail, and both sides of the 16-word AVX-512 step.
 const WIDTHS: &[usize] = &[
-    1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 157, 257,
+    1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 23, 24, 25, 31, 32, 33, 63, 64, 65, 127, 157, 257,
 ];
 
 fn pick_width(rng: &mut XorShift64) -> usize {
@@ -263,51 +310,48 @@ fn check_eq<T: PartialEq + std::fmt::Debug>(
 // Kernel families
 // ---------------------------------------------------------------------------
 
-fn fuzz_xor_into(rng: &mut XorShift64) -> Result<(), String> {
+fn fuzz_xor_into(rng: &mut XorShift64) -> Result<Vec<Simd>, String> {
     let w = pick_width(rng);
     let a = gen_words(rng, w);
     let b = gen_words(rng, w);
     let want: Vec<u64> = a.iter().zip(&b).map(|(&x, &y)| x ^ y).collect();
-    for level in levels() {
+    each_level(|level| {
         let mut dst = a.clone();
         level.xor_into(&mut dst, &b);
-        check_eq(&format!("xor_into w={w}"), level, &dst, &want)?;
-    }
-    Ok(())
+        check_eq(&format!("xor_into w={w}"), level, &dst, &want)
+    })
 }
 
-fn fuzz_popcount(rng: &mut XorShift64) -> Result<(), String> {
+fn fuzz_popcount(rng: &mut XorShift64) -> Result<Vec<Simd>, String> {
     let w = pick_width(rng);
     let a = gen_words(rng, w);
     let want = (0..w * 64).filter(|&i| bit(&a, i)).count() as u32;
-    for level in levels() {
+    each_level(|level| {
         check_eq(
             &format!("popcount w={w}"),
             level,
             &level.popcount(&a),
             &want,
-        )?;
-    }
-    Ok(())
+        )
+    })
 }
 
-fn fuzz_hamming(rng: &mut XorShift64) -> Result<(), String> {
+fn fuzz_hamming(rng: &mut XorShift64) -> Result<Vec<Simd>, String> {
     let w = pick_width(rng);
     let a = gen_words(rng, w);
     let b = gen_words(rng, w);
     let want = naive_hamming(&a, &b);
-    for level in levels() {
+    each_level(|level| {
         check_eq(
             &format!("hamming w={w}"),
             level,
             &level.hamming(&a, &b),
             &want,
-        )?;
-    }
-    Ok(())
+        )
+    })
 }
 
-fn fuzz_hamming_bounded(rng: &mut XorShift64) -> Result<(), String> {
+fn fuzz_hamming_bounded(rng: &mut XorShift64) -> Result<Vec<Simd>, String> {
     let w = pick_width(rng);
     let a = gen_words(rng, w);
     let b = gen_words(rng, w);
@@ -321,7 +365,7 @@ fn fuzz_hamming_bounded(rng: &mut XorShift64) -> Result<(), String> {
         _ => rng.below((w as u64) * 64 + 1) as u32,
     };
     let reference = Simd::Portable.hamming_bounded(&a, &b, bound);
-    for level in levels() {
+    each_level(|level| {
         let d = level.hamming_bounded(&a, &b, bound);
         // Block boundaries are part of the kernel contract, so every
         // level reports the identical partial sum.
@@ -337,11 +381,11 @@ fn fuzz_hamming_bounded(rng: &mut XorShift64) -> Result<(), String> {
                 level.name()
             ));
         }
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
-fn fuzz_hamming_threshold(rng: &mut XorShift64) -> Result<(), String> {
+fn fuzz_hamming_threshold(rng: &mut XorShift64) -> Result<Vec<Simd>, String> {
     let w = pick_width(rng);
     let a = gen_words(rng, w);
     let b = gen_words(rng, w);
@@ -360,7 +404,7 @@ fn fuzz_hamming_threshold(rng: &mut XorShift64) -> Result<(), String> {
         rng.below(max + 1) as u32
     };
     let reference = Simd::Portable.hamming_threshold(&a, &b, prune, accept);
-    for level in levels() {
+    each_level(|level| {
         let d = level.hamming_threshold(&a, &b, prune, accept);
         check_eq(
             &format!("hamming_threshold w={w} prune={prune} accept={accept}"),
@@ -381,50 +425,47 @@ fn fuzz_hamming_threshold(rng: &mut XorShift64) -> Result<(), String> {
                 level.name()
             ));
         }
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
-fn fuzz_or_into(rng: &mut XorShift64) -> Result<(), String> {
+fn fuzz_or_into(rng: &mut XorShift64) -> Result<Vec<Simd>, String> {
     let w = pick_width(rng);
     let a = gen_words(rng, w);
     let b = gen_words(rng, w);
     let want: Vec<u64> = a.iter().zip(&b).map(|(&x, &y)| x | y).collect();
-    for level in levels() {
+    each_level(|level| {
         let mut out = gen_words(rng, w);
         level.or_into(&a, &b, &mut out);
-        check_eq(&format!("or_into w={w}"), level, &out, &want)?;
-    }
-    Ok(())
+        check_eq(&format!("or_into w={w}"), level, &out, &want)
+    })
 }
 
-fn fuzz_maj3(rng: &mut XorShift64) -> Result<(), String> {
+fn fuzz_maj3(rng: &mut XorShift64) -> Result<Vec<Simd>, String> {
     let w = pick_width(rng);
     let xs: Vec<Vec<u64>> = (0..3).map(|_| gen_words(rng, w)).collect();
     let refs: Vec<&[u64]> = xs.iter().map(Vec::as_slice).collect();
     let want = naive_majority(&refs, 2, w);
-    for level in levels() {
+    each_level(|level| {
         let mut out = vec![0u64; w];
         level.maj3_into(&xs[0], &xs[1], &xs[2], &mut out);
-        check_eq(&format!("maj3_into w={w}"), level, &out, &want)?;
-    }
-    Ok(())
+        check_eq(&format!("maj3_into w={w}"), level, &out, &want)
+    })
 }
 
-fn fuzz_maj5(rng: &mut XorShift64) -> Result<(), String> {
+fn fuzz_maj5(rng: &mut XorShift64) -> Result<Vec<Simd>, String> {
     let w = pick_width(rng);
     let xs: Vec<Vec<u64>> = (0..5).map(|_| gen_words(rng, w)).collect();
     let refs: Vec<&[u64]> = xs.iter().map(Vec::as_slice).collect();
     let want = naive_majority(&refs, 3, w);
-    for level in levels() {
+    each_level(|level| {
         let mut out = vec![0u64; w];
         level.maj5_into(&xs[0], &xs[1], &xs[2], &xs[3], &xs[4], &mut out);
-        check_eq(&format!("maj5_into w={w}"), level, &out, &want)?;
-    }
-    Ok(())
+        check_eq(&format!("maj5_into w={w}"), level, &out, &want)
+    })
 }
 
-fn fuzz_maj5_tie(rng: &mut XorShift64) -> Result<(), String> {
+fn fuzz_maj5_tie(rng: &mut XorShift64) -> Result<Vec<Simd>, String> {
     let w = pick_width(rng);
     let xs: Vec<Vec<u64>> = (0..4).map(|_| gen_words(rng, w)).collect();
     // The implied fifth input is the tie vector x0 ^ x1.
@@ -435,23 +476,22 @@ fn fuzz_maj5_tie(rng: &mut XorShift64) -> Result<(), String> {
         .chain([tie.as_slice()])
         .collect();
     let want = naive_majority(&refs, 3, w);
-    for level in levels() {
+    each_level(|level| {
         let mut out = vec![0u64; w];
         level.maj5_tie_into(&xs[0], &xs[1], &xs[2], &xs[3], &mut out);
-        check_eq(&format!("maj5_tie_into w={w}"), level, &out, &want)?;
-    }
-    Ok(())
+        check_eq(&format!("maj5_tie_into w={w}"), level, &out, &want)
+    })
 }
 
 /// Input counts on either side of the vote counter's plane-count steps
 /// (`2^k - 1` and `2^k` inputs).
 const PLANE_BOUNDARIES: [usize; 10] = [3, 4, 7, 8, 15, 16, 31, 32, 63, 64];
 
-fn fuzz_ripple_majority(rng: &mut XorShift64, seed: u64) -> Result<(), String> {
+fn fuzz_ripple_majority(rng: &mut XorShift64, seed: u64) -> Result<Vec<Simd>, String> {
     let w = pick_width(rng).min(160);
     // Every even seed runs one plane boundary, with or without the tie,
     // so any 40 consecutive seeds cover all of them.
-    let (n, even_tie) = if seed % 2 == 0 {
+    let (n, even_tie) = if seed.is_multiple_of(2) {
         let k = (seed / 2 % 20) as usize;
         (PLANE_BOUNDARIES[k / 2], k % 2 == 1)
     } else {
@@ -474,7 +514,7 @@ fn fuzz_ripple_majority(rng: &mut XorShift64, seed: u64) -> Result<(), String> {
         refs.push(&tie);
     }
     let want = naive_majority(&refs, threshold, w);
-    for level in levels() {
+    each_level(|level| {
         let mut out = vec![0u64; w];
         level.ripple_majority_into(n, |i| xs[i].as_slice(), even_tie, threshold, &mut out);
         check_eq(
@@ -482,19 +522,18 @@ fn fuzz_ripple_majority(rng: &mut XorShift64, seed: u64) -> Result<(), String> {
             level,
             &out,
             &want,
-        )?;
-    }
-    Ok(())
+        )
+    })
 }
 
-fn fuzz_csa_step(rng: &mut XorShift64) -> Result<(), String> {
+fn fuzz_csa_step(rng: &mut XorShift64) -> Result<Vec<Simd>, String> {
     let w = pick_width(rng);
     let plane = gen_words(rng, w);
     let carry = gen_words(rng, w);
     let want_plane: Vec<u64> = plane.iter().zip(&carry).map(|(&p, &c)| p ^ c).collect();
     let want_carry: Vec<u64> = plane.iter().zip(&carry).map(|(&p, &c)| p & c).collect();
     let want_pending = want_carry.iter().any(|&c| c != 0);
-    for level in levels() {
+    each_level(|level| {
         let mut p = plane.clone();
         let mut c = carry.clone();
         let pending = level.csa_step(&mut p, &mut c);
@@ -505,12 +544,11 @@ fn fuzz_csa_step(rng: &mut XorShift64) -> Result<(), String> {
             level,
             &pending,
             &want_pending,
-        )?;
-    }
-    Ok(())
+        )
+    })
 }
 
-fn fuzz_counter_majority(rng: &mut XorShift64) -> Result<(), String> {
+fn fuzz_counter_majority(rng: &mut XorShift64) -> Result<Vec<Simd>, String> {
     let w = pick_width(rng).min(160);
     let n = rng.range(1, 300) as u32;
     // Generate per-component counts in 0..=n (the reachable range),
@@ -540,12 +578,12 @@ fn fuzz_counter_majority(rng: &mut XorShift64) -> Result<(), String> {
     let tie = gen_words(rng, w);
     let mut want = vec![0u64; w];
     for (i, &c) in counts.iter().enumerate() {
-        let set = c > n / 2 || (n % 2 == 0 && c == n / 2 && bit(&tie, i));
+        let set = c > n / 2 || (n.is_multiple_of(2) && c == n / 2 && bit(&tie, i));
         if set {
             want[i / 64] |= 1u64 << (i % 64);
         }
     }
-    for level in levels() {
+    each_level(|level| {
         let mut out = vec![0u64; w];
         level.counter_majority_into(|p| planes[p].as_slice(), n_planes, n, &tie, &mut out);
         check_eq(
@@ -553,12 +591,11 @@ fn fuzz_counter_majority(rng: &mut XorShift64) -> Result<(), String> {
             level,
             &out,
             &want,
-        )?;
-    }
-    Ok(())
+        )
+    })
 }
 
-fn fuzz_xor_rotated(rng: &mut XorShift64) -> Result<(), String> {
+fn fuzz_xor_rotated(rng: &mut XorShift64) -> Result<Vec<Simd>, String> {
     // Dimensions off the word boundary exercise the tail-mask path.
     let dim = if rng.chance(1, 2) {
         *rng.pick(&[1usize, 3, 31, 32, 33, 63, 64, 65, 100, 157, 320, 1000, 2048])
@@ -585,7 +622,7 @@ fn fuzz_xor_rotated(rng: &mut XorShift64) -> Result<(), String> {
     let mut dst0 = gen_words(rng, w);
     dst0[w - 1] &= tail_mask;
     let want_xor: Vec<u64> = dst0.iter().zip(&rotated).map(|(&d, &r)| d ^ r).collect();
-    for level in levels() {
+    each_level(|level| {
         let mut out = vec![0u64; w];
         level.rotate_into_words(&mut out, &src, dim, k);
         check_eq(
@@ -601,9 +638,8 @@ fn fuzz_xor_rotated(rng: &mut XorShift64) -> Result<(), String> {
             level,
             &dst,
             &want_xor,
-        )?;
-    }
-    Ok(())
+        )
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -615,7 +651,7 @@ fn gen_hv(rng: &mut XorShift64, n_words32: usize) -> Hv64 {
     Hv64::from_binary(&BinaryHv::from_words(words))
 }
 
-fn fuzz_counter_bundler(rng: &mut XorShift64) -> Result<(), String> {
+fn fuzz_counter_bundler(rng: &mut XorShift64) -> Result<Vec<Simd>, String> {
     // Odd widths leave the top 32 bits of the last u64 word as padding;
     // the threshold must never set them.
     let n_words32 = *rng.pick(&[1usize, 2, 3, 5, 7, 9, 31, 157]);
@@ -665,7 +701,7 @@ fn fuzz_counter_bundler(rng: &mut XorShift64) -> Result<(), String> {
     let mut want = vec![0u64; out_seq.words().len()];
     for i in 0..dim {
         let count = inputs.iter().filter(|hv| bit(hv.words(), i)).count();
-        let set = 2 * count > m || (m % 2 == 0 && 2 * count == m && bit(tie.words(), i));
+        let set = 2 * count > m || (m.is_multiple_of(2) && 2 * count == m && bit(tie.words(), i));
         if set {
             want[i / 64] |= 1u64 << (i % 64);
         }
@@ -686,7 +722,7 @@ fn fuzz_counter_bundler(rng: &mut XorShift64) -> Result<(), String> {
             "counter_bundler w32={n_words32}: cleared+re-added majority is not the input"
         ));
     }
-    Ok(())
+    Ok(Vec::new())
 }
 
 // ---------------------------------------------------------------------------
@@ -701,16 +737,16 @@ fn naive_paper_bit(votes: &[bool]) -> bool {
     if n == 1 {
         return votes[0];
     }
-    let even = n % 2 == 0;
+    let even = n.is_multiple_of(2);
     let count = votes.iter().filter(|&&v| v).count() + usize::from(even && votes[0] != votes[1]);
     2 * count > n + usize::from(even)
 }
 
 /// The unigram window encode (`BitslicedBundler::bundle_window_into`)
-/// at both levels against writing every spatial vote per bit first:
+/// at every level against writing every spatial vote per bit first:
 /// 1–8 channels, window lengths on the counter's plane boundaries plus
 /// 1, 2, 5 and 25, rows drawn with repeats from a small table.
-fn fuzz_window_vote(rng: &mut XorShift64, seed: u64) -> Result<(), String> {
+fn fuzz_window_vote(rng: &mut XorShift64, seed: u64) -> Result<Vec<Simd>, String> {
     const LENGTHS: [usize; 14] = [3, 4, 7, 8, 15, 16, 31, 32, 63, 64, 1, 2, 5, 25];
     // Every length in turn, so any 14 consecutive seeds cover them all.
     let samples = LENGTHS[(seed % LENGTHS.len() as u64) as usize];
@@ -745,21 +781,17 @@ fn fuzz_window_vote(rng: &mut XorShift64, seed: u64) -> Result<(), String> {
         }
     }
     let before = Simd::active();
-    let mut result = Ok(());
-    for level in levels() {
+    let result = each_level(|level| {
         Simd::set_active(level);
         let mut out = Hv64::zeros(n_words32);
         BitslicedBundler::bundle_window_into(samples, channels, &table, &starts, &mut out);
-        result = check_eq(
+        check_eq(
             &format!("window_vote w32={n_words32} samples={samples} channels={channels}"),
             level,
             &out.words().to_vec(),
             &want,
-        );
-        if result.is_err() {
-            break;
-        }
-    }
+        )
+    });
     Simd::set_active(before);
     result
 }
@@ -898,7 +930,7 @@ fn decode_anything(bytes: &[u8]) {
     let _ = proto::decode_response(&header, payload);
 }
 
-fn fuzz_proto(rng: &mut XorShift64) -> Result<(), String> {
+fn fuzz_proto(rng: &mut XorShift64) -> Result<Vec<Simd>, String> {
     // Every case: appending the response in place, after a random
     // prefix, must leave the prefix alone and add exactly the
     // standalone frame.
@@ -975,7 +1007,7 @@ fn fuzz_proto(rng: &mut XorShift64) -> Result<(), String> {
             decode_anything(&bytes);
         }
     }
-    Ok(())
+    Ok(Vec::new())
 }
 
 #[cfg(test)]
@@ -991,6 +1023,23 @@ mod tests {
         assert!(fams.contains(&"counter_bundler"));
         assert!(fams.contains(&"window_vote"));
         assert!(fams.contains(&"proto"));
+    }
+
+    /// A kernel family that never checked a registered level the CPU
+    /// has is a failure; one that checked every available level is not.
+    #[test]
+    fn registered_levels_must_be_checked() {
+        let simd: Vec<&str> = Simd::available()[1..].iter().map(|l| l.name()).collect();
+        assert_eq!(
+            unchecked_levels(&["avx2", "avx512"], &[Simd::Portable]),
+            simd
+        );
+        assert!(unchecked_levels(&["avx2", "avx512"], &Simd::available()).is_empty());
+        let report = run(&["hamming", "proto"], 2, 0);
+        assert!(report.failures.is_empty(), "{:?}", report.failures);
+        for &(level, cases) in &report.cases_per_level {
+            assert_eq!(cases, 2, "{level:?}: only the hamming cases check levels");
+        }
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //!   `// ORDERING:`, `// INFALLIBLE:` annotations, and the
 //!   differential-twin registry in `crates/hdc/src/twins.rs`).
 //! * [`fuzz`] — a seeded deterministic differential fuzzer running every
-//!   registered kernel AVX2-vs-portable-vs-naive at adversarial widths,
+//!   registered kernel at every SIMD level the CPU has against a naive
+//!   reference at adversarial widths,
 //!   the packed counter bundler against per-bit counting, and the wire
 //!   decoder against mutated frames. Failures replay from
 //!   `(family, seed)` alone.

@@ -11,9 +11,12 @@
 //!    `unsafe impl` carries a `// SAFETY:` comment (an `unsafe fn` may
 //!    instead document its contract with a rustdoc `# Safety` section).
 //! 2. **`TWIN`** — every `#[target_feature]` function is registered in
-//!    the differential-twin registry (`crates/hdc/src/twins.rs`),
-//!    either as a kernel paired with a portable reference or as a
-//!    helper reachable only through registered kernels.
+//!    the differential-twin registry (`crates/hdc/src/twins.rs`) at its
+//!    level, either as a kernel paired with a portable reference or as
+//!    a helper reachable only through registered kernels. A function's
+//!    level is the innermost inline `mod` around it (`mod avx512`), or
+//!    its file's stem outside one, so a kernel registered at one level
+//!    does not cover a namesake at another.
 //! 3. **`UNWRAP`** — no `.unwrap()` / `.expect(` in non-test code under
 //!    `crates/serve/src` and `crates/core/src/backend`, except sites
 //!    annotated `// INFALLIBLE:` with a proof sketch.
@@ -106,7 +109,7 @@ impl fmt::Display for Violation {
 ///
 /// Returns any I/O error from walking the tree or reading a file.
 pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Violation>> {
-    let registry = registry_names(root)?;
+    let registry = registered(root);
     let mut violations = Vec::new();
     for file in source_files(root)? {
         let text = std::fs::read_to_string(&file)?;
@@ -154,29 +157,108 @@ fn source_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     Ok(out)
 }
 
-/// The set of kernel/helper names registered in [`TWIN_REGISTRY`]:
-/// every string literal in the registry file, reduced to its last
-/// `::` segment. Empty when the registry does not exist (fixture
-/// trees), in which case every `#[target_feature]` fn is a violation.
-fn registry_names(root: &Path) -> std::io::Result<BTreeSet<String>> {
-    let path = root.join(TWIN_REGISTRY);
-    let mut names = BTreeSet::new();
-    if let Ok(text) = std::fs::read_to_string(path) {
-        for line in text.lines() {
-            let mut rest = line;
-            while let Some(start) = rest.find('"') {
-                let tail = &rest[start + 1..];
-                let Some(end) = tail.find('"') else { break };
-                let literal = &tail[..end];
-                let name = literal.rsplit("::").next().unwrap_or(literal);
-                if !name.is_empty() {
-                    names.insert(name.to_string());
-                }
-                rest = &tail[end + 1..];
+/// `(level, name)` pairs: a `#[target_feature]` function registered at
+/// a level.
+type Registry = BTreeSet<(String, String)>;
+
+/// Every `(level, name)` registered in [`TWIN_REGISTRY`]. The registry
+/// is read as rustfmt'd struct literals: each `{ … }` with no brace
+/// inside registers the names of its `kernel` and `names` fields at
+/// each level of its `levels` and `level` fields. Empty when the
+/// registry does not exist, in which case every `#[target_feature]` fn
+/// is a violation.
+fn registered(root: &Path) -> Registry {
+    let mut registry = Registry::new();
+    let Ok(text) = std::fs::read_to_string(root.join(TWIN_REGISTRY)) else {
+        return registry;
+    };
+    let code: Vec<&str> = text
+        .lines()
+        .map(|line| line.split("//").next().unwrap_or(line))
+        .collect();
+    let code = code.join(" ");
+    for body in code.split('}').filter_map(|chunk| chunk.rsplit('{').next()) {
+        let levels = [field_strings(body, "levels"), field_strings(body, "level")].concat();
+        let names = [field_strings(body, "kernel"), field_strings(body, "names")].concat();
+        for level in &levels {
+            for name in &names {
+                registry.insert((level.clone(), name.clone()));
             }
         }
     }
-    Ok(names)
+    registry
+}
+
+/// The string literals of field `field` in a struct literal's body: its
+/// one string, or every string of its `&[…]` list.
+fn field_strings(body: &str, field: &str) -> Vec<String> {
+    let Some((_, value)) = body.split_once(&format!(" {field}:")) else {
+        return Vec::new();
+    };
+    let value = value.trim_start();
+    let end = if value.starts_with("&[") {
+        value.find(']')
+    } else {
+        value.find(',')
+    };
+    value[..end.unwrap_or(value.len())]
+        .split('"')
+        .skip(1)
+        .step_by(2)
+        .map(str::to_string)
+        .collect()
+}
+
+/// The level of each line: the innermost inline `mod` it sits in, or
+/// `stem` (the file's) outside any.
+fn line_levels(code: &[String], stem: &str) -> Vec<String> {
+    let mut out = Vec::with_capacity(code.len());
+    // Open inline modules, each with the brace depth it opened at.
+    let mut open: Vec<(String, i32)> = Vec::new();
+    let mut depth = 0i32;
+    for line in code {
+        out.push(
+            open.last()
+                .map_or(stem, |(name, _)| name.as_str())
+                .to_string(),
+        );
+        if let Some(name) = inline_mod(line) {
+            open.push((name, depth));
+        }
+        for b in line.bytes() {
+            match b {
+                b'{' => depth += 1,
+                b'}' => {
+                    depth -= 1;
+                    while open.last().is_some_and(|&(_, d)| depth <= d) {
+                        open.pop();
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+    out
+}
+
+/// The name of the inline module `code` opens (`mod avx2 {`), if any.
+fn inline_mod(code: &str) -> Option<String> {
+    let (head, tail) = code.split_once("mod ")?;
+    if head
+        .chars()
+        .next_back()
+        .is_some_and(|c| c.is_alphanumeric() || c == '_')
+    {
+        return None;
+    }
+    let tail = tail.trim_start();
+    let end = tail
+        .find(|c: char| !c.is_alphanumeric() && c != '_')
+        .unwrap_or(tail.len());
+    tail[end..]
+        .trim_start()
+        .starts_with('{')
+        .then(|| tail[..end].to_string())
 }
 
 /// Whether the `UNWRAP` rule applies to this file: the serving layer
@@ -415,10 +497,14 @@ fn orderings_near(lines: &[Line], idx: usize) -> Vec<&'static str> {
 }
 
 /// Lints one file, appending violations.
-fn lint_file(rel: &Path, text: &str, registry: &BTreeSet<String>, out: &mut Vec<Violation>) {
+fn lint_file(rel: &Path, text: &str, registry: &Registry, out: &mut Vec<Violation>) {
     let raw_lines: Vec<&str> = text.lines().collect();
     let code_lines = strip_code(&raw_lines);
     let mask = test_mask(&code_lines);
+    let stem = rel
+        .file_stem()
+        .map_or(String::new(), |s| s.to_string_lossy().into_owned());
+    let levels = line_levels(&code_lines, &stem);
     let lines: Vec<Line> = raw_lines
         .iter()
         .zip(code_lines)
@@ -479,14 +565,17 @@ fn lint_file(rel: &Path, text: &str, registry: &BTreeSet<String>, out: &mut Vec<
                 }
             }
             if let Some(name) = name {
-                if !registry.contains(&name) {
+                let level = &levels[idx];
+                if !registry.contains(&(level.clone(), name.clone())) {
                     out.push(Violation {
                         file: rel.to_path_buf(),
                         line: idx + 1,
                         rule: Rule::UnregisteredKernel,
                         message: format!(
-                            "#[target_feature] fn `{name}` is not registered in {TWIN_REGISTRY} \
-                             (add it to KERNEL_TWINS with a portable twin, or to KERNEL_HELPERS)"
+                            "#[target_feature] fn `{name}` is not registered at level `{level}` \
+                             in {TWIN_REGISTRY} (add the level to its KERNEL_TWINS entry, or \
+                             add it to KERNEL_TWINS with a portable twin, or to KERNEL_HELPERS \
+                             at that level)"
                         ),
                     });
                 }
@@ -571,7 +660,7 @@ mod tests {
 
     fn lint_str(rel: &str, text: &str) -> Vec<Violation> {
         let mut out = Vec::new();
-        lint_file(Path::new(rel), text, &BTreeSet::new(), &mut out);
+        lint_file(Path::new(rel), text, &Registry::new(), &mut out);
         out
     }
 

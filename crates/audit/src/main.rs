@@ -141,21 +141,30 @@ fn run_fuzz(args: &[String]) -> ExitCode {
         Some(s) => (s, 1),
         None => (0, seeds),
     };
-    let failures = fuzz::run(&selected, n_seeds, base);
+    let report = fuzz::run(&selected, n_seeds, base);
     let cases = n_seeds * selected.len() as u64;
-    if failures.is_empty() {
+    // Which SIMD levels ran shows in the CI log: a runner without a
+    // level's CPU features skips it.
+    let levels: Vec<String> = report
+        .cases_per_level
+        .iter()
+        .map(|(level, n)| format!("{} {n}", level.name()))
+        .collect();
+    let levels = levels.join(", ");
+    if report.failures.is_empty() {
         println!(
-            "audit fuzz: {cases} case(s) across {} family(ies), 0 failures",
+            "audit fuzz: {cases} case(s) across {} family(ies), 0 failures; \
+             cases per level: {levels}",
             selected.len()
         );
         ExitCode::SUCCESS
     } else {
-        for f in &failures {
+        for f in &report.failures {
             println!("{f}");
         }
         println!(
-            "audit fuzz: {} failure(s) in {cases} case(s)",
-            failures.len()
+            "audit fuzz: {} failure(s) in {cases} case(s); cases per level: {levels}",
+            report.failures.len()
         );
         ExitCode::FAILURE
     }

@@ -1,5 +1,14 @@
 //! Fixture twin registry: mirrors the shape of the real
-//! `crates/hdc/src/twins.rs` just enough for `registry_names` to find
-//! the registered kernel below.
+//! `crates/hdc/src/twins.rs` just enough for the lint to find the
+//! kernel and the helper below at their levels.
 
-pub const KERNEL_TWINS: &[(&str, &str)] = &[("good_kernel", "portable::good_kernel")];
+pub const KERNEL_TWINS: &[KernelTwin] = &[KernelTwin {
+    kernel: "good_kernel",
+    twin: "good_kernel",
+    levels: &["avx2", "avx512"],
+}];
+
+pub const KERNEL_HELPERS: &[KernelHelpers] = &[KernelHelpers {
+    level: "avx512",
+    names: &["masked_load"],
+}];

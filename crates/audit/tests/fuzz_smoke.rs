@@ -8,11 +8,12 @@ const SMOKE_SEEDS: u64 = 25;
 #[test]
 fn every_family_passes_a_smoke_run() {
     let families = families().expect("every registered kernel has a fuzzer");
-    let failures = run(&families, SMOKE_SEEDS, 0);
+    let report = run(&families, SMOKE_SEEDS, 0);
     assert!(
-        failures.is_empty(),
+        report.failures.is_empty(),
         "{}",
-        failures
+        report
+            .failures
             .iter()
             .map(ToString::to_string)
             .collect::<Vec<_>>()

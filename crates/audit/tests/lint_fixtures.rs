@@ -35,6 +35,11 @@ fn violations_tree_fires_every_rule_at_the_right_span() {
             Rule::MissingSafety,
         ),
         (
+            "crates/hdc/src/kernels.rs".to_string(),
+            35,
+            Rule::UnregisteredKernel,
+        ),
+        (
             "crates/serve/src/handler.rs".to_string(),
             8,
             Rule::BareUnwrap,
@@ -69,6 +74,26 @@ fn violations_render_with_rule_tags() {
             "no violation rendered with {tag}: {rendered:#?}"
         );
     }
+}
+
+/// A kernel registered at the AVX2 level does not cover its namesake
+/// in `mod avx512`: the lint names the level it is missing at, and the
+/// AVX2 one (line 24) stays clean.
+#[test]
+fn twin_registration_is_per_level() {
+    let violations = lint_workspace(&fixture("violations")).expect("fixture tree readable");
+    let twins: Vec<_> = violations
+        .iter()
+        .filter(|v| v.rule == Rule::UnregisteredKernel)
+        .map(|v| (v.line, v.message.clone()))
+        .collect();
+    assert_eq!(twins.len(), 2, "{twins:#?}");
+    assert_eq!(twins[1].0, 35);
+    assert!(
+        twins[1].1.contains("`good_kernel`") && twins[1].1.contains("level `avx512`"),
+        "{}",
+        twins[1].1
+    );
 }
 
 #[test]

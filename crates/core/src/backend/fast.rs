@@ -804,7 +804,7 @@ impl EncodeCore {
         let (channels, n) = (self.channels, self.ngram);
         // Whether a vote fits the in-register counter: fewer than
         // `2^RIPPLE_PLANES` inputs with its tie vector.
-        let fits = |votes: usize| votes + usize::from(votes % 2 == 0) < 1 << RIPPLE_PLANES;
+        let fits = |votes: usize| votes + usize::from(votes.is_multiple_of(2)) < 1 << RIPPLE_PLANES;
         if n == 1 && fits(window.len()) && fits(channels) {
             // Unigrams: each word block's spatial votes feed the
             // temporal vote in registers; none is written.
@@ -1499,11 +1499,7 @@ mod tests {
         let batch = random_windows(&params, 3, 2 * MIN_WINDOWS_PER_WORKER, 78);
         let expected = golden.classify_batch(&batch).unwrap();
         let restore = Simd::active();
-        let mut levels = vec![Simd::Portable];
-        if Simd::detect() != Simd::Portable {
-            levels.push(Simd::detect());
-        }
-        for level in levels {
+        for level in Simd::available() {
             Simd::set_active(level);
             let mut session = pooled_session(FastBackend::with_threads(2), &model, 2);
             let (done_tx, done_rx) = channel();
@@ -2544,8 +2540,8 @@ mod tests {
         }
     }
 
-    /// A caching session replays *correct* verdicts under both SIMD
-    /// levels: identical to an exact session's output apart from the
+    /// A caching session replays *correct* verdicts under every SIMD
+    /// level: identical to an exact session's output apart from the
     /// provenance field, across a stream with repeats.
     #[test]
     fn cached_sessions_stay_correct_under_both_simd_levels() {
@@ -2558,12 +2554,7 @@ mod tests {
         let windows = random_windows(&params, 3, 6, 41);
         // A stream with heavy repetition, crossing the capacity.
         let stream: Vec<usize> = vec![0, 1, 2, 0, 1, 3, 4, 0, 5, 2, 2, 0];
-        let detected = Simd::detect();
-        let mut levels = vec![Simd::Portable];
-        if detected != Simd::Portable {
-            levels.push(detected);
-        }
-        for level in levels {
+        for level in Simd::available() {
             Simd::set_active(level);
             let mut exact = FastBackend::with_threads(1).prepare(&model).unwrap();
             let mut cached = FastBackend::with_threads(1)

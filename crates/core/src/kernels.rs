@@ -151,7 +151,7 @@ impl Gen<'_> {
     /// Number of majority inputs (bound hypervectors, plus the tie-break
     /// vector when the channel count is even).
     fn majority_inputs(&self) -> usize {
-        if self.p.channels % 2 == 0 {
+        if self.p.channels.is_multiple_of(2) {
             self.p.channels + 1
         } else {
             self.p.channels

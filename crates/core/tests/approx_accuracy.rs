@@ -6,11 +6,11 @@
 //! on realistic workloads — a clustered EMG-style gesture task and a
 //! letter-trigram language-identification task — every rung of
 //! [`ApproxPolicy`] must stay within **one percentage point** of the
-//! exact configuration's classification accuracy, at both SIMD kernel
-//! levels. The query cache must in fact match exact accuracy *exactly*
-//! (its signature is only a filter; hits replay verdicts verified by a
-//! full word-for-word query compare), so only the threshold rung ever
-//! spends the budget.
+//! exact configuration's classification accuracy, at every SIMD
+//! kernel level the CPU runs. The query cache must in fact match exact
+//! accuracy *exactly* (its signature is only a filter; hits replay
+//! verdicts verified by a full word-for-word query compare), so only
+//! the threshold rung ever spends the budget.
 //!
 //! The dimension auto-tuner rides the same contract: the model it emits
 //! must really deliver the holdout accuracy it reports, and honoring a
@@ -24,16 +24,6 @@ use pulp_hd_core::backend::{
 };
 use pulp_hd_core::layout::AccelParams;
 use pulp_hd_core::tune::tune_dimension;
-
-/// Both kernel levels when the machine has them, portable always.
-fn simd_levels() -> Vec<Simd> {
-    let detected = Simd::detect();
-    let mut levels = vec![Simd::Portable];
-    if detected != Simd::Portable {
-        levels.push(detected);
-    }
-    levels
-}
 
 /// Classification accuracy of `backend` on `model` over a labelled
 /// stream, through the batched serving path.
@@ -152,7 +142,7 @@ fn approx_rungs_stay_within_one_point_of_exact_on_emg() {
     trainer.train_batch(&train_w, &train_l).unwrap();
     let model = trainer.finalize().unwrap();
 
-    for level in simd_levels() {
+    for level in Simd::available() {
         Simd::set_active(level);
         let exact = accuracy(&FastBackend::with_threads(2), &model, &stream_w, &stream_l);
         assert!(exact > 0.7, "{level:?}: workload degenerate ({exact})");
@@ -309,7 +299,7 @@ fn approx_rungs_stay_within_one_point_of_exact_on_language_id() {
     );
     let (stream_w, stream_l) = repeated_stream(&chunk_w, &chunk_l, 300, 0x44);
 
-    for level in simd_levels() {
+    for level in Simd::available() {
         Simd::set_active(level);
         let exact = accuracy(&FastBackend::with_threads(2), &model, &stream_w, &stream_l);
         assert!(exact > 0.7, "{level:?}: workload degenerate ({exact})");

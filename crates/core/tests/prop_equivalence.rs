@@ -179,8 +179,8 @@ fn host_backends_agree_on_sliding_window_batches() {
 /// adversarially tie-rigged streams of repeated windows, which force
 /// exact counter ties through the seeded tie-break — the golden and
 /// fast trainable sessions produce bit-identical prototypes, verdicts,
-/// and online adaptations, whether the fast path runs its detected
-/// SIMD level or the forced-portable fallback.
+/// and online adaptations, at every SIMD level the CPU runs, the
+/// portable fallback included.
 ///
 /// (`PULP_HD_FORCE_SCALAR=1` CI coverage comes on top of this: the
 /// whole suite, this test included, re-runs with the portable level
@@ -191,12 +191,7 @@ fn host_backends_agree_on_sliding_window_batches() {
     ignore = "heavy cross-backend sweep; the fast backend's handoff tests cover the unsafe handoff"
 )]
 fn training_agrees_across_backends_and_simd_levels() {
-    let detected = Simd::detect();
-    let mut levels = vec![Simd::Portable];
-    if detected != Simd::Portable {
-        levels.push(detected);
-    }
-    for level in levels {
+    for level in Simd::available() {
         Simd::set_active(level);
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(0x7A11_ED00);
         for case in 0..8 {
@@ -370,7 +365,7 @@ fn pruned_fast_backend_agrees_with_golden_on_class_and_query() {
 /// the default or configured explicitly, an Exact fast session stays
 /// bit-identical to the golden backend — every distance, the query, the
 /// class, and the `Scan` verdict source — through both `classify` and
-/// `classify_batch`, across random chain shapes and both SIMD levels.
+/// `classify_batch`, across random chain shapes and every SIMD level.
 /// This is the regression fence the approximate-inference ladder is
 /// built behind.
 #[test]
@@ -379,12 +374,7 @@ fn pruned_fast_backend_agrees_with_golden_on_class_and_query() {
     ignore = "heavy cross-backend sweep; the fast backend's handoff tests cover the unsafe handoff"
 )]
 fn exact_policy_stays_bit_identical_to_golden_across_simd_levels() {
-    let detected = Simd::detect();
-    let mut levels = vec![Simd::Portable];
-    if detected != Simd::Portable {
-        levels.push(detected);
-    }
-    for level in levels {
+    for level in Simd::available() {
         Simd::set_active(level);
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(0xE8AC_7F1D);
         for case in 0..10 {

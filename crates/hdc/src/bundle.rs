@@ -251,7 +251,7 @@ pub fn majority_paper(inputs: &[BinaryHv]) -> BinaryHv {
     if inputs.len() == 1 {
         return inputs[0].clone();
     }
-    let tie = if inputs.len() % 2 == 0 {
+    let tie = if inputs.len().is_multiple_of(2) {
         Some(inputs[0].bind(&inputs[1]))
     } else {
         None

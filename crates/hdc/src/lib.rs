@@ -42,8 +42,9 @@
 //! * [`encoder`] — spatial and temporal (N-gram) encoders.
 //! * [`am`] — associative memory and nearest-prototype classification.
 //! * [`classifier`] — the end-to-end chain.
-//! * [`simd`] — runtime-dispatched SIMD kernels (AVX2 with a portable
-//!   fallback) behind the `hv64` hot paths.
+//! * [`simd`] — runtime-dispatched SIMD kernels (AVX-512 for the AM
+//!   scan's distance, AVX2 for every kernel, and a portable fallback)
+//!   behind the `hv64` hot paths.
 //! * [`twins`] — the differential-twin registry pairing every
 //!   `#[target_feature]` kernel with its portable reference, consumed
 //!   by the `pulp-hd-audit` lint and fuzz gates.

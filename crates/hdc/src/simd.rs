@@ -3,16 +3,21 @@
 //! Every throughput-critical word loop of [`crate::hv64`] — XOR-bind,
 //! the fused bind-rotate, the carry-save majority networks, and the
 //! popcount Hamming distance / early-exit associative-memory scan —
-//! lives here twice:
+//! lives here at three levels:
 //!
 //! * an **AVX2/POPCNT** specialization (`unsafe fn` +
 //!   `#[target_feature]`, 256-bit lanes, `vpshufb` nibble popcount),
 //!   used when the CPU supports it;
+//! * an **AVX-512** level that specializes the one kernel the AM scan
+//!   spends its time in, [`Simd::hamming`]: 512-bit XOR and the
+//!   `vpopcntq` lane popcount (AVX512-VPOPCNTDQ), the vector form of
+//!   the single-cycle `p.cnt` the paper's cluster uses for the same
+//!   search. Every other kernel of [`Simd::Avx512`] runs its AVX2 body;
 //! * a **portable** fallback written as 4×`u64` unrolled safe Rust that
 //!   the auto-vectorizer handles on any target — and that doubles as
 //!   the scalar reference the SIMD paths are property-tested against.
 //!
-//! The two vote kernels of the encoder are branch-free on both levels:
+//! The two vote kernels of the encoder are branch-free on every level:
 //!
 //! * **The tie rule is an OR.** The paper breaks even votes with the
 //!   extra input `x0 ⊕ x1`, and per lane `x0 + x1 + (x0 ⊕ x1) =
@@ -36,10 +41,11 @@
 //!   [`BitslicedBundler::bundle_window_into`](crate::hv64::BitslicedBundler::bundle_window_into).
 //!
 //! The level is picked **once per process** at first use via
-//! [`is_x86_feature_detected!`]; `cargo build` on stable works
-//! everywhere because nothing is gated at compile time. Both levels are
-//! bit-identical on every kernel (the property suites pin this), so
-//! dispatch is purely a performance decision.
+//! [`is_x86_feature_detected!`], in the order AVX-512, AVX2, portable;
+//! `cargo build` on stable works everywhere because nothing is gated at
+//! compile time. Every level is bit-identical on every kernel (the
+//! property suites pin this), so dispatch is purely a performance
+//! decision.
 //!
 //! Selection can be overridden:
 //!
@@ -49,20 +55,25 @@
 //! * **Code:** [`Simd::set_active`] swaps the process-wide level at any
 //!   point (safe, because the levels agree bit for bit), and every
 //!   kernel is also callable on an explicit level (`Simd::Portable
-//!   .hamming(..)`) for side-by-side testing.
+//!   .hamming(..)`) for side-by-side testing. [`Simd::available`] lists
+//!   every level this CPU runs, which is what the tests and the fuzzer
+//!   loop over.
 //!
-//! Adding a new specialization (e.g. AVX-512 or NEON) means: a new
-//! enum variant behind `cfg(target_arch)`, a sibling intrinsics module
-//! implementing the same kernel set, one arm per dispatch method, and a
-//! detection branch in [`Simd::detect`] — the property tests in
-//! `tests/simd_kernels.rs` then pin the new path to the portable
-//! reference automatically.
+//! **The AVX-512 level** is a variant ([`Simd::Avx512`]), a sibling
+//! intrinsics module (`avx512`) holding only `hamming`, a detection
+//! branch in [`Simd::detect`] ahead of AVX2, and one arm per dispatch
+//! method: `hamming`'s calls the `avx512` kernel, and every other
+//! method serves the level from its AVX2 arm. Its kernel is registered
+//! at its own level in [`crate::twins`], so the audit lint and fuzzer
+//! check it by name and level. A kernel ported to AVX-512 later takes
+//! the same three steps: the function in `avx512`, its own arm in the
+//! dispatch method, and `"avx512"` in its registry entry's levels.
 
 use core::mem::MaybeUninit;
 use core::sync::atomic::{AtomicU8, Ordering};
 
 /// Output words per early-exit check of the bounded Hamming scan
-/// (512 bits). Both levels abandon prototypes at identical block
+/// (512 bits). Every level abandons prototypes at identical block
 /// boundaries, so pruned-scan distances never depend on the CPU.
 pub const SCAN_BLOCK_WORDS64: usize = 8;
 
@@ -80,7 +91,7 @@ fn counter_planes(votes: usize) -> usize {
 /// tie vector joins it (even `n`), and the count threshold.
 #[allow(clippy::cast_possible_truncation)]
 fn paper_vote(n: usize) -> (bool, u32) {
-    let even_tie = n % 2 == 0;
+    let even_tie = n.is_multiple_of(2);
     (even_tie, ((n + usize::from(even_tie)) / 2 + 1) as u32)
 }
 
@@ -259,7 +270,7 @@ macro_rules! with_planes {
 }
 
 /// Cached process-wide kernel level: 0 = undecided, 1 = portable,
-/// 2 = AVX2.
+/// 2 = AVX2, 3 = AVX-512.
 static ACTIVE: AtomicU8 = AtomicU8::new(0);
 
 /// A kernel dispatch level. See the [module docs](self) for the
@@ -276,22 +287,59 @@ pub enum Simd {
     /// safe to name unconditionally.
     #[cfg(target_arch = "x86_64")]
     Avx2,
+    /// The AVX2 level with a 512-bit `vpopcntq` Hamming distance: only
+    /// [`Simd::hamming`] has a kernel of its own, and every other method
+    /// runs its AVX2 body.
+    ///
+    /// Methods on this variant panic if the running CPU lacks AVX-512F,
+    /// AVX512-VPOPCNTDQ, AVX2 or POPCNT, so the variant is safe to name
+    /// unconditionally.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
 }
 
 impl Simd {
-    /// The level the current process/CPU should use: the probed CPU
-    /// features, unless `PULP_HD_FORCE_SCALAR` is set to anything but
-    /// `0`/empty, which forces [`Simd::Portable`].
+    /// The level the current process/CPU should use: the best level
+    /// the probed CPU features run (AVX-512, then AVX2, then portable),
+    /// unless `PULP_HD_FORCE_SCALAR` is set to anything but `0`/empty,
+    /// which forces [`Simd::Portable`].
     #[must_use]
     pub fn detect() -> Self {
         if std::env::var_os("PULP_HD_FORCE_SCALAR").is_some_and(|v| !v.is_empty() && v != "0") {
             return Self::Portable;
         }
         #[cfg(target_arch = "x86_64")]
-        if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("popcnt") {
-            return Self::Avx2;
+        {
+            if avx512_detected() {
+                return Self::Avx512;
+            }
+            if avx2_detected() {
+                return Self::Avx2;
+            }
         }
         Self::Portable
+    }
+
+    /// Every level this CPU can execute: [`Simd::Portable`] first, then
+    /// the SIMD levels from the least to the most preferred, so the last
+    /// entry is the level [`Simd::detect`] picks when
+    /// `PULP_HD_FORCE_SCALAR` is unset. It ignores that variable, which
+    /// steers only `detect` and [`Simd::active`]: tests and the fuzzer
+    /// loop over this list to pin every level to the portable
+    /// reference, whatever level the process runs.
+    #[must_use]
+    pub fn available() -> Vec<Self> {
+        let mut levels = vec![Self::Portable];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if avx2_detected() {
+                levels.push(Self::Avx2);
+            }
+            if avx512_detected() {
+                levels.push(Self::Avx512);
+            }
+        }
+        levels
     }
 
     /// The process-wide active level, detecting (and caching) it on
@@ -302,6 +350,8 @@ impl Simd {
             1 => Self::Portable,
             #[cfg(target_arch = "x86_64")]
             2 => Self::Avx2,
+            #[cfg(target_arch = "x86_64")]
+            3 => Self::Avx512,
             _ => {
                 let detected = Self::detect();
                 // ORDERING: Relaxed — a monotone cache of an idempotent
@@ -332,6 +382,8 @@ impl Simd {
             Self::Portable => "portable",
             #[cfg(target_arch = "x86_64")]
             Self::Avx2 => "avx2",
+            #[cfg(target_arch = "x86_64")]
+            Self::Avx512 => "avx512",
         }
     }
 
@@ -340,6 +392,22 @@ impl Simd {
             Self::Portable => 1,
             #[cfg(target_arch = "x86_64")]
             Self::Avx2 => 2,
+            #[cfg(target_arch = "x86_64")]
+            Self::Avx512 => 3,
+        }
+    }
+
+    /// Panics unless the running CPU has this SIMD level's features —
+    /// the soundness guard that lets [`Simd::Avx2`] and [`Simd::Avx512`]
+    /// expose safe methods. Both levels' features include the AVX2 and
+    /// POPCNT every `avx2` kernel is compiled for.
+    #[cfg(target_arch = "x86_64")]
+    #[inline]
+    fn simd_ready(self) {
+        if self == Self::Avx512 {
+            avx512_ready();
+        } else {
+            avx2_ready();
         }
     }
 
@@ -354,9 +422,9 @@ impl Simd {
         match self {
             Self::Portable => portable::xor_into(dst, src),
             #[cfg(target_arch = "x86_64")]
-            Self::Avx2 => {
-                avx2_ready();
-                // SAFETY: `avx2_ready()` above verified (or aborted on a
+            Self::Avx2 | Self::Avx512 => {
+                self.simd_ready();
+                // SAFETY: `simd_ready()` above verified (or aborted on a
                 // broken override) that this CPU has the AVX2 features
                 // the `#[target_feature]` kernel was compiled for.
                 unsafe { avx2::xor_into(dst, src) }
@@ -371,9 +439,9 @@ impl Simd {
         match self {
             Self::Portable => portable::popcount(a),
             #[cfg(target_arch = "x86_64")]
-            Self::Avx2 => {
-                avx2_ready();
-                // SAFETY: `avx2_ready()` above verified (or aborted on a
+            Self::Avx2 | Self::Avx512 => {
+                self.simd_ready();
+                // SAFETY: `simd_ready()` above verified (or aborted on a
                 // broken override) that this CPU has the AVX2 features
                 // the `#[target_feature]` kernel was compiled for.
                 unsafe { avx2::popcount(a) }
@@ -400,6 +468,15 @@ impl Simd {
                 // the `#[target_feature]` kernel was compiled for.
                 unsafe { avx2::hamming(a, b) }
             }
+            #[cfg(target_arch = "x86_64")]
+            Self::Avx512 => {
+                avx512_ready();
+                // SAFETY: `avx512_ready()` above verified (or aborted on
+                // a broken override) that this CPU has the AVX-512
+                // features the `#[target_feature]` kernel was compiled
+                // for, and the assert above that the lengths match.
+                unsafe { avx512::hamming(a, b) }
+            }
         }
     }
 
@@ -419,9 +496,9 @@ impl Simd {
         match self {
             Self::Portable => portable::hamming_bounded(a, b, bound),
             #[cfg(target_arch = "x86_64")]
-            Self::Avx2 => {
-                avx2_ready();
-                // SAFETY: `avx2_ready()` above verified (or aborted on a
+            Self::Avx2 | Self::Avx512 => {
+                self.simd_ready();
+                // SAFETY: `simd_ready()` above verified (or aborted on a
                 // broken override) that this CPU has the AVX2 features
                 // the `#[target_feature]` kernel was compiled for.
                 unsafe { avx2::hamming_bounded(a, b, bound) }
@@ -442,7 +519,7 @@ impl Simd {
     ///
     /// Either way the returned value is the partial sum at the stopping
     /// block boundary — a lower bound on the exact distance — and the
-    /// exact distance if neither side fired. Both levels evaluate the
+    /// exact distance if neither side fired. Every level evaluates the
     /// two checks in the same order at identical block boundaries, so
     /// the result is level-independent.
     ///
@@ -456,9 +533,9 @@ impl Simd {
         match self {
             Self::Portable => portable::hamming_threshold(a, b, prune, accept),
             #[cfg(target_arch = "x86_64")]
-            Self::Avx2 => {
-                avx2_ready();
-                // SAFETY: `avx2_ready()` above verified (or aborted on a
+            Self::Avx2 | Self::Avx512 => {
+                self.simd_ready();
+                // SAFETY: `simd_ready()` above verified (or aborted on a
                 // broken override) that this CPU has the AVX2 features
                 // the `#[target_feature]` kernel was compiled for.
                 unsafe { avx2::hamming_threshold(a, b, prune, accept) }
@@ -481,9 +558,9 @@ impl Simd {
         match self {
             Self::Portable => portable::or_into(a, b, out),
             #[cfg(target_arch = "x86_64")]
-            Self::Avx2 => {
-                avx2_ready();
-                // SAFETY: `avx2_ready()` above verified (or aborted on a
+            Self::Avx2 | Self::Avx512 => {
+                self.simd_ready();
+                // SAFETY: `simd_ready()` above verified (or aborted on a
                 // broken override) that this CPU has the AVX2 features
                 // the `#[target_feature]` kernel was compiled for.
                 unsafe { avx2::or_into(a, b, out) }
@@ -505,9 +582,9 @@ impl Simd {
         match self {
             Self::Portable => portable::maj3_into(x0, x1, x2, out),
             #[cfg(target_arch = "x86_64")]
-            Self::Avx2 => {
-                avx2_ready();
-                // SAFETY: `avx2_ready()` above verified (or aborted on a
+            Self::Avx2 | Self::Avx512 => {
+                self.simd_ready();
+                // SAFETY: `simd_ready()` above verified (or aborted on a
                 // broken override) that this CPU has the AVX2 features
                 // the `#[target_feature]` kernel was compiled for.
                 unsafe { avx2::maj3_into(x0, x1, x2, out) }
@@ -541,9 +618,9 @@ impl Simd {
         match self {
             Self::Portable => portable::maj5_into(x0, x1, x2, x3, x4, out),
             #[cfg(target_arch = "x86_64")]
-            Self::Avx2 => {
-                avx2_ready();
-                // SAFETY: `avx2_ready()` above verified (or aborted on a
+            Self::Avx2 | Self::Avx512 => {
+                self.simd_ready();
+                // SAFETY: `simd_ready()` above verified (or aborted on a
                 // broken override) that this CPU has the AVX2 features
                 // the `#[target_feature]` kernel was compiled for.
                 unsafe { avx2::maj5_into(x0, x1, x2, x3, x4, out) }
@@ -571,9 +648,9 @@ impl Simd {
         match self {
             Self::Portable => portable::maj5_tie_into(x0, x1, x2, x3, out),
             #[cfg(target_arch = "x86_64")]
-            Self::Avx2 => {
-                avx2_ready();
-                // SAFETY: `avx2_ready()` above verified (or aborted on a
+            Self::Avx2 | Self::Avx512 => {
+                self.simd_ready();
+                // SAFETY: `simd_ready()` above verified (or aborted on a
                 // broken override) that this CPU has the AVX2 features
                 // the `#[target_feature]` kernel was compiled for.
                 unsafe { avx2::maj5_tie_into(x0, x1, x2, x3, out) }
@@ -733,9 +810,9 @@ impl Simd {
                 portable::ripple_majority_from::<C, R>(n, inputs, even_tie, threshold, out, 0);
             }
             #[cfg(target_arch = "x86_64")]
-            Self::Avx2 => {
-                avx2_ready();
-                // SAFETY: `avx2_ready()` above verified (or aborted on a
+            Self::Avx2 | Self::Avx512 => {
+                self.simd_ready();
+                // SAFETY: `simd_ready()` above verified (or aborted on a
                 // broken override) that this CPU has the AVX2 features
                 // the `#[target_feature]` kernel was compiled for; the
                 // vote and row bounds are this fn's own contract.
@@ -763,9 +840,9 @@ impl Simd {
         match self {
             Self::Portable => portable::csa_step(plane, carry),
             #[cfg(target_arch = "x86_64")]
-            Self::Avx2 => {
-                avx2_ready();
-                // SAFETY: `avx2_ready()` above verified (or aborted on a
+            Self::Avx2 | Self::Avx512 => {
+                self.simd_ready();
+                // SAFETY: `simd_ready()` above verified (or aborted on a
                 // broken override) that this CPU has the AVX2 features
                 // the `#[target_feature]` kernel was compiled for.
                 unsafe { avx2::csa_step(plane, carry) }
@@ -812,9 +889,9 @@ impl Simd {
                 portable::counter_majority_from(&planes, n_planes, n, tie, out, 0);
             }
             #[cfg(target_arch = "x86_64")]
-            Self::Avx2 => {
-                avx2_ready();
-                // SAFETY: `avx2_ready()` above verified (or aborted on a
+            Self::Avx2 | Self::Avx512 => {
+                self.simd_ready();
+                // SAFETY: `simd_ready()` above verified (or aborted on a
                 // broken override) that this CPU has the AVX2 features
                 // the `#[target_feature]` kernel was compiled for.
                 unsafe { avx2::counter_majority_into(&planes, n_planes, n, tie, out) }
@@ -841,10 +918,10 @@ impl Simd {
         match self {
             Self::Portable => portable::rotate_into(dst, src, &geom),
             #[cfg(target_arch = "x86_64")]
-            Self::Avx2 => {
-                avx2_ready();
+            Self::Avx2 | Self::Avx512 => {
+                self.simd_ready();
                 dst.fill(0);
-                // SAFETY: `avx2_ready()` above verified (or aborted on a
+                // SAFETY: `simd_ready()` above verified (or aborted on a
                 // broken override) that this CPU has the AVX2 features
                 // the `#[target_feature]` kernel was compiled for.
                 unsafe { avx2::xor_rotated_into(dst, src, &geom) }
@@ -870,9 +947,9 @@ impl Simd {
         match self {
             Self::Portable => portable::xor_rotated_into(dst, src, &geom),
             #[cfg(target_arch = "x86_64")]
-            Self::Avx2 => {
-                avx2_ready();
-                // SAFETY: `avx2_ready()` above verified (or aborted on a
+            Self::Avx2 | Self::Avx512 => {
+                self.simd_ready();
+                // SAFETY: `simd_ready()` above verified (or aborted on a
                 // broken override) that this CPU has the AVX2 features
                 // the `#[target_feature]` kernel was compiled for.
                 unsafe { avx2::xor_rotated_into(dst, src, &geom) }
@@ -907,9 +984,39 @@ impl Simd {
 #[inline]
 fn avx2_ready() {
     assert!(
-        is_x86_feature_detected!("avx2") && is_x86_feature_detected!("popcnt"),
+        avx2_detected(),
         "Simd::Avx2 kernels invoked on a CPU without AVX2/POPCNT"
     );
+}
+
+/// Panics unless the running CPU supports the AVX-512 level: its own
+/// `vpopcntq` kernel and the AVX2/POPCNT kernels it shares — the
+/// soundness guard that lets [`Simd::Avx512`] expose safe methods.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn avx512_ready() {
+    assert!(
+        avx512_detected(),
+        "Simd::Avx512 kernels invoked on a CPU without AVX-512F/VPOPCNTDQ/AVX2/POPCNT"
+    );
+}
+
+/// Whether the CPU has the features of the AVX2 level.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn avx2_detected() -> bool {
+    is_x86_feature_detected!("avx2") && is_x86_feature_detected!("popcnt")
+}
+
+/// Whether the CPU has the features of the AVX-512 level: those of its
+/// `hamming` kernel, and those of the AVX2 kernels it serves every
+/// other method with.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn avx512_detected() -> bool {
+    is_x86_feature_detected!("avx512f")
+        && is_x86_feature_detected!("avx512vpopcntdq")
+        && avx2_detected()
 }
 
 /// Per-word geometry of a `dim`-bit left rotation by `k` over
@@ -1413,7 +1520,7 @@ mod portable {
         F: Fn(usize) -> &'a [u64],
     {
         let threshold = n / 2 + 1;
-        let even = n % 2 == 0;
+        let even = n.is_multiple_of(2);
         let half = n / 2;
         let t_bits = (32 - threshold.leading_zeros()) as usize;
         let p_max = n_planes.max(t_bits);
@@ -1463,11 +1570,12 @@ mod portable {
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     #![deny(unsafe_op_in_unsafe_fn)]
-    // On the workspace MSRV (1.82) every intrinsic call below needs an
-    // explicit `unsafe` block; newer toolchains (1.86+) treat the
-    // value-only intrinsics as safe inside `#[target_feature]` fns and
-    // would flag those same blocks as unused. Keep the blocks (the MSRV
-    // needs them) and silence the newer compilers' redundancy lint.
+    // Written for an MSRV (1.82) on which every intrinsic call needed an
+    // explicit `unsafe` block. On the workspace MSRV (1.89) the
+    // value-only intrinsics are safe inside `#[target_feature]` fns, so
+    // the blocks around them are redundant there; they stay (the
+    // `#[inline(always)]` helpers, which have no target feature, still
+    // need theirs), and the redundancy lint is silenced.
     #![allow(unused_unsafe)]
 
     use core::arch::x86_64::{
@@ -2184,7 +2292,7 @@ mod avx2 {
         F: Fn(usize) -> &'a [u64],
     {
         let threshold = n / 2 + 1;
-        let even = n % 2 == 0;
+        let even = n.is_multiple_of(2);
         let half = n / 2;
         let t_bits = (32 - threshold.leading_zeros()) as usize;
         let p_max = n_planes.max(t_bits);
@@ -2290,21 +2398,90 @@ mod avx2 {
     }
 }
 
+/// The AVX-512 level's own kernel: [`Simd::hamming`] over 512-bit
+/// lanes with the `vpopcntq` lane popcount. Every other kernel of
+/// [`Simd::Avx512`] is its `avx2` body. Intrinsics that only touch
+/// registers are safe inside the `#[target_feature]` fn on the
+/// workspace MSRV (1.89), so only the loads sit in `unsafe` blocks.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    #![deny(unsafe_op_in_unsafe_fn)]
+
+    use core::arch::x86_64::{
+        _mm512_add_epi64, _mm512_loadu_si512, _mm512_maskz_loadu_epi64, _mm512_popcnt_epi64,
+        _mm512_reduce_add_epi64, _mm512_setzero_si512, _mm512_xor_si512,
+    };
+
+    /// Hamming distance, 16 words per step into two accumulators, then
+    /// at most one whole 8-word lane, then the last 1–7 words as one
+    /// masked lane: no scalar tail.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F, AVX512-VPOPCNTDQ and `a.len() == b.len()`.
+    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+    pub(super) unsafe fn hamming(a: &[u64], b: &[u64]) -> u32 {
+        let n = a.len();
+        let (pa, pb) = (a.as_ptr(), b.as_ptr());
+        let mut acc0 = _mm512_setzero_si512();
+        let mut acc1 = _mm512_setzero_si512();
+        let mut i = 0;
+        while i + 16 <= n {
+            // SAFETY: `i + 16 <= n` keeps both 8-word lanes of both
+            // slices in range (`b` is as long as `a`, the contract).
+            let (x0, x1) = unsafe {
+                (
+                    _mm512_xor_si512(
+                        _mm512_loadu_si512(pa.add(i).cast()),
+                        _mm512_loadu_si512(pb.add(i).cast()),
+                    ),
+                    _mm512_xor_si512(
+                        _mm512_loadu_si512(pa.add(i + 8).cast()),
+                        _mm512_loadu_si512(pb.add(i + 8).cast()),
+                    ),
+                )
+            };
+            acc0 = _mm512_add_epi64(acc0, _mm512_popcnt_epi64(x0));
+            acc1 = _mm512_add_epi64(acc1, _mm512_popcnt_epi64(x1));
+            i += 16;
+        }
+        if i + 8 <= n {
+            // SAFETY: `i + 8 <= n` keeps the lane of both slices in range.
+            let x = unsafe {
+                _mm512_xor_si512(
+                    _mm512_loadu_si512(pa.add(i).cast()),
+                    _mm512_loadu_si512(pb.add(i).cast()),
+                )
+            };
+            acc0 = _mm512_add_epi64(acc0, _mm512_popcnt_epi64(x));
+            i += 8;
+        }
+        if i < n {
+            // The last `n - i` words, 1 to 7 of them: one mask bit each.
+            let mask = (1u8 << (n - i)) - 1;
+            // SAFETY: the masked loads read only the lanes whose mask
+            // bit is set, words `i..n` of each slice, all in range. A
+            // masked-off lane is never read: AVX-512 suppresses the
+            // access, and any fault, for elements whose mask bit is
+            // clear, and zeroes the lane, so the words past the end of
+            // either slice are never touched and count nothing.
+            let x = unsafe {
+                _mm512_xor_si512(
+                    _mm512_maskz_loadu_epi64(mask, pa.add(i).cast()),
+                    _mm512_maskz_loadu_epi64(mask, pb.add(i).cast()),
+                )
+            };
+            acc1 = _mm512_add_epi64(acc1, _mm512_popcnt_epi64(x));
+        }
+        _mm512_reduce_add_epi64(_mm512_add_epi64(acc0, acc1)) as u32
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::Xoshiro256PlusPlus;
-
-    /// Every level available on this machine, the portable reference
-    /// first.
-    fn levels() -> Vec<Simd> {
-        let mut all = vec![Simd::Portable];
-        #[cfg(target_arch = "x86_64")]
-        if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("popcnt") {
-            all.push(Simd::Avx2);
-        }
-        all
-    }
 
     fn words(n: usize, rng: &mut Xoshiro256PlusPlus) -> Vec<u64> {
         (0..n).map(|_| rng.next_u64()).collect()
@@ -2322,18 +2499,67 @@ mod tests {
     #[test]
     fn detection_is_stable_and_set_active_overrides_and_restores() {
         assert_eq!(Simd::Portable.name(), "portable");
+        #[cfg(target_arch = "x86_64")]
+        {
+            assert_eq!(Simd::Avx2.name(), "avx2");
+            assert_eq!(Simd::Avx512.name(), "avx512");
+        }
         assert_eq!(Simd::detect(), Simd::detect());
+        // Portable first, detection's pick last (unless the override
+        // forces portable), and no level twice.
+        let available = Simd::available();
+        assert_eq!(available[0], Simd::Portable);
+        let forced =
+            std::env::var_os("PULP_HD_FORCE_SCALAR").is_some_and(|v| !v.is_empty() && v != "0");
+        if forced {
+            assert_eq!(Simd::detect(), Simd::Portable);
+        } else {
+            assert_eq!(available.last(), Some(&Simd::detect()));
+        }
+        for (i, level) in available.iter().enumerate() {
+            assert!(!available[..i].contains(level), "{level:?} listed twice");
+        }
         let before = Simd::active();
-        Simd::set_active(Simd::Portable);
-        assert_eq!(Simd::active(), Simd::Portable);
+        for &level in &available {
+            Simd::set_active(level);
+            assert_eq!(Simd::active(), level);
+        }
         Simd::set_active(before);
         assert_eq!(Simd::active(), before);
+    }
+
+    /// Every tail of the AVX-512 `hamming` unroll (two 8-word lanes per
+    /// step, one whole lane, then 1–7 masked words) and of the AVX2 and
+    /// portable ones, on both sides of each step: every length up to
+    /// three 16-word steps, and the 313-`u32` width. The words past each
+    /// slice's end are all ones, so a tail that read past its slice
+    /// would count them.
+    #[test]
+    fn hamming_covers_every_unroll_tail_on_all_levels() {
+        let mut rng = Xoshiro256PlusPlus::seed_from_u64(0x5B);
+        for len in (0..=49).chain([157]) {
+            let mut a = words(len + 8, &mut rng);
+            let mut b = words(len + 8, &mut rng);
+            a[len..].fill(u64::MAX);
+            b[len..].fill(0);
+            let (a, b) = (&a[..len], &b[..len]);
+            let ham: u32 = a.iter().zip(b).map(|(x, y)| (x ^ y).count_ones()).sum();
+            for level in Simd::available() {
+                assert_eq!(level.hamming(a, b), ham, "{level:?} len {len}");
+                // All-ones differences count every lane's full 64 bits.
+                let ones = vec![u64::MAX; len];
+                let zeros = vec![0u64; len];
+                #[allow(clippy::cast_possible_truncation)]
+                let full = 64 * len as u32;
+                assert_eq!(level.hamming(&ones, &zeros), full, "{level:?} len {len}");
+            }
+        }
     }
 
     #[test]
     fn xor_and_or_match_wordwise_reference_on_all_levels() {
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(0x51);
-        for level in levels() {
+        for level in Simd::available() {
             for len in LENGTHS {
                 let a = words(len, &mut rng);
                 let b = words(len, &mut rng);
@@ -2352,7 +2578,7 @@ mod tests {
     #[test]
     fn popcount_and_hamming_match_reference_on_all_levels() {
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(0x52);
-        for level in levels() {
+        for level in Simd::available() {
             for len in LENGTHS {
                 let a = words(len, &mut rng);
                 let b = words(len, &mut rng);
@@ -2390,12 +2616,12 @@ mod tests {
                         break;
                     }
                 }
-                for level in levels() {
+                for level in Simd::available() {
                     let got = level.hamming_bounded(&a, &b, bound);
                     assert_eq!(got, expected, "{level:?} len {len} case {case}");
                 }
                 // An unreachable bound yields the exact distance.
-                for level in levels() {
+                for level in Simd::available() {
                     assert_eq!(level.hamming_bounded(&a, &b, u32::MAX), exact);
                 }
             }
@@ -2435,7 +2661,7 @@ mod tests {
                         break;
                     }
                 }
-                for level in levels() {
+                for level in Simd::available() {
                     let got = level.hamming_threshold(&a, &b, prune, accept);
                     assert_eq!(got, expected, "{level:?} len {len} case {case}");
                     // Every early exit returns a lower bound on the
@@ -2452,7 +2678,7 @@ mod tests {
                         assert!(exact <= accept, "{level:?} len {len} case {case}");
                     }
                 }
-                for level in levels() {
+                for level in Simd::available() {
                     // Neither side reachable: the exact distance.
                     assert_eq!(level.hamming_threshold(&a, &b, u32::MAX, 0), exact);
                     // An always-true accept stops after the first block.
@@ -2485,7 +2711,7 @@ mod tests {
             }
             out
         };
-        for level in levels() {
+        for level in Simd::available() {
             for len in LENGTHS {
                 let xs: Vec<Vec<u64>> = (0..5).map(|_| words(len, &mut rng)).collect();
                 let mut out = vec![0u64; len];
@@ -2535,7 +2761,7 @@ mod tests {
                 expected |= 1 << row;
             }
         }
-        for level in levels() {
+        for level in Simd::available() {
             let mut out = vec![u64::MAX; len];
             level.maj5_tie_into(&xs[0], &xs[1], &xs[2], &xs[3], &mut out);
             assert_eq!(out, vec![expected; len], "{level:?}");
@@ -2547,7 +2773,7 @@ mod tests {
     #[test]
     fn ripple_majority_unreachable_threshold_is_all_zeros_on_all_levels() {
         let ones = vec![u64::MAX; 5];
-        for level in levels() {
+        for level in Simd::available() {
             for (n, even_tie, threshold) in [
                 (3usize, false, 4u32),
                 (3, false, 1024),
@@ -2590,7 +2816,7 @@ mod tests {
     #[test]
     fn ripple_majority_matches_counting_reference_on_all_levels() {
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(0x55);
-        for level in levels() {
+        for level in Simd::available() {
             for &len in RIPPLE_WIDTHS {
                 for &n in RIPPLE_VOTES {
                     let xs: Vec<Vec<u64>> = (0..n).map(|_| words(len, &mut rng)).collect();
@@ -2632,7 +2858,7 @@ mod tests {
         if n == 1 {
             return votes[0];
         }
-        let even = n % 2 == 0;
+        let even = n.is_multiple_of(2);
         let count =
             votes.iter().filter(|&&v| v).count() + usize::from(even && votes[0] != votes[1]);
         count > (n + usize::from(even)) / 2
@@ -2685,7 +2911,7 @@ mod tests {
                             expected[b / 64] |= 1 << (b % 64);
                         }
                     }
-                    for level in levels() {
+                    for level in Simd::available() {
                         let mut out = vec![u64::MAX; width];
                         level.window_majority_into(samples, channels, &table, &starts, &mut out);
                         assert_eq!(
@@ -2711,7 +2937,7 @@ mod tests {
     #[test]
     fn csa_step_chains_into_exact_counters_on_all_levels() {
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(0x58);
-        for level in levels() {
+        for level in Simd::available() {
             for len in LENGTHS {
                 for n in [1usize, 2, 3, 5, 8, 13] {
                     let inputs: Vec<Vec<u64>> = (0..n).map(|_| words(len, &mut rng)).collect();
@@ -2754,7 +2980,7 @@ mod tests {
     #[test]
     fn counter_majority_matches_counting_reference_on_all_levels() {
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(0x59);
-        for level in levels() {
+        for level in Simd::available() {
             for len in LENGTHS {
                 for n in [1usize, 2, 3, 4, 5, 6, 9, 12, 21] {
                     let inputs: Vec<Vec<u64>> = (0..n).map(|_| words(len, &mut rng)).collect();
@@ -2811,7 +3037,7 @@ mod tests {
     fn rotations_match_bitwise_reference_on_all_levels() {
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(0x56);
         let bit = |x: &[u64], i: usize| x[i / 64] >> (i % 64) & 1;
-        for level in levels() {
+        for level in Simd::available() {
             for dim in [32usize, 64, 96, 128, 160, 416, 10_016] {
                 let n = dim.div_ceil(64);
                 let mut src = words(n, &mut rng);
@@ -2854,13 +3080,13 @@ mod tests {
             let dim = 32 * (1 + rng.next_below(40) as usize);
             let n = dim.div_ceil(64);
             let mut src = words(n, &mut rng);
-            if dim % 64 != 0 {
+            if !dim.is_multiple_of(64) {
                 src[n - 1] &= (1u64 << (dim % 64)) - 1;
             }
             let k = rng.next_below(2 * dim as u32 + 1) as usize;
             let mut reference = vec![0u64; n];
             Simd::Portable.rotate_into_words(&mut reference, &src, dim, k);
-            for level in levels() {
+            for level in Simd::available() {
                 let mut got = vec![u64::MAX; n];
                 level.rotate_into_words(&mut got, &src, dim, k);
                 assert_eq!(got, reference, "case {case}: {level:?} dim {dim} k {k}");

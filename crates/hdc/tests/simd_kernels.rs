@@ -11,8 +11,8 @@
 //!   that re-runs the whole workspace test suite with the portable
 //!   level pinned (see `.github/workflows/ci.yml`).
 //!
-//! Per-kernel slice-level equivalence (explicit `Simd::Portable` /
-//! `Simd::Avx2` calls against naive references) lives in the `simd`
+//! Per-kernel slice-level equivalence (explicit calls on each level of
+//! `Simd::available()` against naive references) lives in the `simd`
 //! module's unit tests; this file checks the same kernels end to end —
 //! bind, fused bind-rotate, both bundling forms, and the distance
 //! scans — against the `u32` golden model.
@@ -30,22 +30,12 @@ use hdc::{BinaryHv, Bundler, Simd, TieBreak};
 // interpreter.
 const CASES: usize = if cfg!(miri) { 4 } else { 32 };
 
-/// Every kernel level this machine can execute, portable first.
-fn levels() -> Vec<Simd> {
-    let mut all = vec![Simd::Portable];
-    #[cfg(target_arch = "x86_64")]
-    if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("popcnt") {
-        all.push(Simd::Avx2);
-    }
-    all
-}
-
 /// Runs `check` once per available level, flipping the process-wide
 /// dispatch through the ctor override hook and restoring the detected
 /// level afterwards (drop-safe restoration is overkill here: a failed
 /// assert ends the process anyway).
 fn for_each_level(mut check: impl FnMut(Simd)) {
-    for level in levels() {
+    for level in Simd::available() {
         Simd::set_active(level);
         check(level);
     }
@@ -335,7 +325,7 @@ fn pruned_scan_distances_are_identical_across_levels() {
         Simd::set_active(Simd::Portable);
         let ref_class = scan_pruned_into(&prototypes, &query, &mut reference);
         let mut got = Vec::new();
-        for level in levels() {
+        for level in Simd::available() {
             Simd::set_active(level);
             let class = scan_pruned_into(&prototypes, &query, &mut got);
             assert_eq!(class, ref_class, "case {case}: {level:?} class");

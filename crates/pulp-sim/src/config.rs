@@ -325,8 +325,14 @@ impl ClusterConfig {
             "1–16 cores supported"
         );
         assert!(self.tcdm_banks >= 1, "need at least one TCDM bank");
-        assert!(self.l1_size >= 1024 && self.l1_size % 4 == 0, "bad L1 size");
-        assert!(self.l2_size >= 1024 && self.l2_size % 4 == 0, "bad L2 size");
+        assert!(
+            self.l1_size >= 1024 && self.l1_size.is_multiple_of(4),
+            "bad L1 size"
+        );
+        assert!(
+            self.l2_size >= 1024 && self.l2_size.is_multiple_of(4),
+            "bad L2 size"
+        );
         assert!(self.dma_words_per_cycle >= 1, "DMA must move data");
     }
 }

@@ -112,7 +112,7 @@ impl Memory {
     /// accesses.
     pub fn decode(&self, addr: u32, width: MemWidth) -> Result<(MemSpace, usize), MemFault> {
         let bytes = width.bytes();
-        if addr % bytes != 0 {
+        if !addr.is_multiple_of(bytes) {
             return Err(MemFault {
                 addr,
                 width,

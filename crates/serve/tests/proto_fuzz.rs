@@ -86,7 +86,7 @@ fn sample_verdict(rng: &mut Xoshiro256PlusPlus) -> Verdict {
         class: (rng.next_u32() % 64) as usize,
         distances: (0..n_dist).map(|_| rng.next_u32() % 10_000).collect(),
         query: BinaryHv::from_words((0..n_words).map(|_| rng.next_u32()).collect()),
-        cycles: if rng.next_u32() % 2 == 0 {
+        cycles: if rng.next_u32().is_multiple_of(2) {
             None
         } else {
             Some(CycleBreakdown {
