@@ -856,10 +856,10 @@ fn gen_verdict(rng: &mut XorShift64) -> Verdict {
         } else {
             None
         },
-        source: match rng.below(3) {
-            0 => VerdictSource::Scan,
-            1 => VerdictSource::EarlyAccept,
-            _ => VerdictSource::CacheHit,
+        source: if rng.chance(1, 2) {
+            VerdictSource::Scan
+        } else {
+            VerdictSource::CacheHit
         },
     }
 }

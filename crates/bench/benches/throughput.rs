@@ -2,9 +2,9 @@
 //! sizes 1 / 32 / 256 — the perf baseline future scaling PRs must beat.
 //!
 //! **Inference:** the golden backend loops single-window calls (its
-//! only mode); the fast backend runs the same batches single-threaded,
-//! multi-threaded, and multi-threaded with the pruned AM scan through
-//! `classify_batch`. The simulated-cluster backend is included at
+//! only mode); the fast backend runs the same batches single-threaded
+//! and multi-threaded through `classify_batch`. The simulated-cluster
+//! backend is included at
 //! reduced dimension for completeness: its wall-clock is the cost of
 //! *simulating* the hardware, not a host-throughput contender.
 //!
@@ -35,16 +35,15 @@
 //! host) — the wire tax must stay a tax, not a serialization
 //! bottleneck.
 //!
-//! **Pruned-scan cliff:** the pruned AM scan trades large-batch
-//! throughput for single-window latency; at batch 256 `fast-pruned/mt`
-//! lands well below `fast/mt`. The bench prints the two side by side,
-//! records them under `"pruned_cliff"`, and guards the floor so the
-//! documented trade-off can't silently deepen.
+//! **Query cache:** on a 64-class model fed a repeated-window stream,
+//! the cached session (`FastBackend::with_cache`) must reach ≥ 1.3× the
+//! plain scan; the JSON records both under `"query_cache"`, next to the
+//! dimension auto-tuner's pick under `"tuner"`.
 //!
 //! Besides the human-readable report, the run records every
 //! windows/second figure in `BENCH_throughput.json` at the workspace
 //! root — together with the SIMD kernel level the process selected
-//! (`"simd": "avx2" | "portable"`) and per-kernel microbenchmarks
+//! (`"simd": "avx512" | "avx2" | "portable"`) and per-kernel microbenchmarks
 //! (bind / bundle / AM scan in `u64` words per second) — so the perf
 //! trajectory is tracked across PRs and wins are attributable to the
 //! kernel that moved.
@@ -64,6 +63,7 @@
 
 use std::fmt::Write as _;
 use std::hint::black_box;
+use std::num::NonZeroUsize;
 
 use std::time::{Duration, Instant};
 
@@ -72,8 +72,8 @@ use hdc::hv64::{BitslicedBundler, Hv64};
 use hdc::{BinaryHv, Simd};
 use pulp_hd_bench::timing::bench;
 use pulp_hd_core::backend::{
-    AccelBackend, ApproxPolicy, ExecutionBackend, FastBackend, GoldenBackend, HdModel, ScanPolicy,
-    TrainSpec, TrainableBackend,
+    AccelBackend, ExecutionBackend, FastBackend, GoldenBackend, HdModel, TrainSpec,
+    TrainableBackend,
 };
 use pulp_hd_core::layout::AccelParams;
 use pulp_hd_core::platform::Platform;
@@ -115,27 +115,24 @@ fn emg_windows(count: usize, samples: usize) -> (Vec<Vec<Vec<u16>>>, Vec<usize>)
         .unzip()
 }
 
-/// The measured approximate-inference ladder (see the approx block in
-/// `main`): throughput of each [`ApproxPolicy`] rung on the
-/// repeated-window stream, the explicit-`Exact` overhead probe on the
-/// standard workload, and the dimension auto-tuner's pick — everything
-/// the JSON's `"approx"` section records.
-struct ApproxReport {
-    tau: f32,
-    cache_capacity: usize,
+/// The query cache on the repeated-window stream (see the cache block
+/// in `main`): what the JSON's `"query_cache"` section records.
+struct CacheReport {
+    capacity: usize,
     pool: usize,
     classes: usize,
     exact_wps: f64,
-    threshold_wps: f64,
     cached_wps: f64,
-    cached_threshold_wps: f64,
-    cache_hit_rate: f64,
-    exact_policy_wps: f64,
-    plain_fast_wps: f64,
-    tuner_base_words: usize,
-    tuner_selected_words: usize,
-    tuner_accuracy: f64,
-    tuner_floor: f64,
+    hit_rate: f64,
+}
+
+/// The dimension auto-tuner's pick on the 5-gesture task: what the
+/// JSON's `"tuner"` section records.
+struct TunerReport {
+    base_words: usize,
+    selected_words: usize,
+    accuracy: f64,
+    floor: f64,
 }
 
 /// One per-kernel microbenchmark point: `u64` words processed per
@@ -298,8 +295,8 @@ fn write_json(
     train_speedup: f64,
     serving_speedup: f64,
     net_serving_ratio: f64,
-    pruned_cliff: (f64, f64),
-    approx: &ApproxReport,
+    cache: &CacheReport,
+    tuner: &TunerReport,
 ) {
     let write_rows = |json: &mut String, rows: &[Row]| {
         for (i, row) in rows.iter().enumerate() {
@@ -376,13 +373,6 @@ fn write_json(
         );
     }
     let _ = writeln!(json, "  ],");
-    let (cliff_full, cliff_pruned) = pruned_cliff;
-    let _ = writeln!(
-        json,
-        "  \"pruned_cliff\": {{ \"batch\": 256, \"fast_mt_wps\": {cliff_full:.1}, \
-         \"fast_pruned_mt_wps\": {cliff_pruned:.1}, \"ratio\": {:.2} }},",
-        cliff_pruned / cliff_full
-    );
     let _ = writeln!(json, "  \"kernels\": [");
     for (i, k) in kernels.iter().enumerate() {
         let comma = if i + 1 < kernels.len() { "," } else { "" };
@@ -409,52 +399,30 @@ fn write_json(
         json,
         "  \"net_serving_uds_vs_inprocess_64clients\": {net_serving_ratio:.2},"
     );
-    let approx_best = approx
-        .threshold_wps
-        .max(approx.cached_wps)
-        .max(approx.cached_threshold_wps);
-    let _ = writeln!(json, "  \"approx\": {{");
+    let _ = writeln!(json, "  \"query_cache\": {{");
     let _ = writeln!(
         json,
         "    \"workload\": \"one-shot {}-class AM, {}-window pool cycled to a 256-window \
          stream\",",
-        approx.classes, approx.pool
+        cache.classes, cache.pool
     );
     let _ = writeln!(
         json,
-        "    \"batch\": 256, \"tau\": {:.4}, \"cache_capacity\": {},",
-        approx.tau, approx.cache_capacity
+        "    \"batch\": 256, \"capacity\": {}, \"exact_wps\": {:.1}, \"cached_wps\": {:.1}, \
+         \"ratio_vs_exact\": {:.2}, \"hit_rate\": {:.3}",
+        cache.capacity,
+        cache.exact_wps,
+        cache.cached_wps,
+        cache.cached_wps / cache.exact_wps,
+        cache.hit_rate
     );
+    let _ = writeln!(json, "  }},");
     let _ = writeln!(
         json,
-        "    \"exact_wps\": {:.1}, \"threshold_wps\": {:.1}, \"cached_wps\": {:.1}, \
-         \"cached_threshold_wps\": {:.1},",
-        approx.exact_wps, approx.threshold_wps, approx.cached_wps, approx.cached_threshold_wps
-    );
-    let _ = writeln!(
-        json,
-        "    \"best_ratio_vs_exact\": {:.2}, \"cache_hit_rate\": {:.3},",
-        approx_best / approx.exact_wps,
-        approx.cache_hit_rate
-    );
-    let _ = writeln!(
-        json,
-        "    \"exact_policy_wps\": {:.1}, \"plain_fast_mt_wps\": {:.1}, \
-         \"exact_policy_ratio\": {:.3},",
-        approx.exact_policy_wps,
-        approx.plain_fast_wps,
-        approx.exact_policy_wps / approx.plain_fast_wps
-    );
-    let _ = writeln!(
-        json,
-        "    \"tuner\": {{ \"base_n_words\": {}, \"selected_n_words\": {}, \
+        "  \"tuner\": {{ \"base_n_words\": {}, \"selected_n_words\": {}, \
          \"holdout_accuracy\": {:.4}, \"floor\": {:.2} }}",
-        approx.tuner_base_words,
-        approx.tuner_selected_words,
-        approx.tuner_accuracy,
-        approx.tuner_floor
+        tuner.base_words, tuner.selected_words, tuner.accuracy, tuner.floor
     );
-    let _ = writeln!(json, "  }}");
     let _ = writeln!(json, "}}");
     std::fs::write(JSON_PATH, json).expect("write BENCH_throughput.json");
     println!("results recorded in {JSON_PATH}");
@@ -515,10 +483,6 @@ fn main() {
     let mut fast_mt = FastBackend::with_threads(threads)
         .prepare(&model)
         .expect("fast prepare");
-    let mut fast_pruned = FastBackend::with_threads(threads)
-        .with_scan(ScanPolicy::Pruned)
-        .prepare(&model)
-        .expect("fast-pruned prepare");
 
     println!(
         "backend throughput, 10,016-D EMG model, windows of 5 samples × 4 channels \
@@ -527,9 +491,6 @@ fn main() {
     );
     let mut rows: Vec<Row> = Vec::new();
     let mut headline = None;
-    // (fast/mt w/s, fast-pruned/mt w/s) at batch 256 — the pruned-scan
-    // cliff pair.
-    let mut pruned_cliff = None;
     // (batch, single-thread w/s, multi-thread w/s) for the adaptive
     // fan-out guard.
     let mut mt_ratios: Vec<(usize, f64, f64)> = Vec::new();
@@ -567,20 +528,14 @@ fn main() {
             f1_secs = f1_secs.min(f1.per_iter().as_secs_f64());
             fm_secs = fm_secs.min(fm.per_iter().as_secs_f64());
         }
-        let fp = bench(
-            &format!("fast-pruned/{threads}threads/batch{batch}"),
-            iters,
-            || fast_pruned.classify_batch(batch_windows).unwrap(),
-        );
 
         let wps = |secs_per_batch: f64| batch as f64 / secs_per_batch;
         let g_wps = wps(g.per_iter().as_secs_f64());
         let f1_wps = wps(f1_secs);
         let fm_wps = wps(fm_secs);
-        let fp_wps = wps(fp.per_iter().as_secs_f64());
         println!(
             "  batch {batch:>3}: golden {g_wps:>9.0} w/s   fast×1 {f1_wps:>9.0} w/s   \
-             fast×{threads} {fm_wps:>9.0} w/s   fast-pruned×{threads} {fp_wps:>9.0} w/s\n"
+             fast×{threads} {fm_wps:>9.0} w/s\n"
         );
         rows.push(Row {
             backend: "golden/loop",
@@ -597,43 +552,31 @@ fn main() {
             batch,
             windows_per_sec: fm_wps,
         });
-        rows.push(Row {
-            backend: "fast-pruned/mt",
-            batch,
-            windows_per_sec: fp_wps,
-        });
         mt_ratios.push((batch, f1_wps, fm_wps));
         if batch == 256 {
             headline = Some((g.per_iter().as_secs_f64(), fm_secs));
-            pruned_cliff = Some((fm_wps, fp_wps));
         }
     }
 
-    // The approximate-inference ladder. The `ApproxPolicy` rungs trade
-    // bit-exactness for AM-scan work, so they are measured on a
-    // scan-dominated shape: a one-shot 64-class associative memory
-    // (each class enrolled from a single window — the paper's one-shot
-    // learning mode, scaled out to a wide vocabulary) driven by a
-    // repeated-window stream (a 48-window pool cycled to 256 — the
-    // steady-state streaming shape the query cache targets). The
-    // accuracy side of the trade is pinned separately by
-    // `crates/core/tests/approx_accuracy.rs`; this block pins the
-    // speed side and fills the JSON's `"approx"` section.
-    println!(
-        "approximate-inference ladder at batch 256 \
-         (one-shot 64-class AM, repeated-window stream)\n"
-    );
-    let approx_report = {
-        // Enroll the one-shot classes greedily, keeping only windows
-        // whose *quantized* codes land ≥ 2 amplitude levels away from
-        // every already-enrolled window in at least 20% of positions:
-        // the synthetic stream repeats itself (steady-state gesture
-        // segments quantize to identical windows, and the CIM's level
-        // vectors are linearly similar), and near-duplicate prototypes
-        // would collapse the runner-up distance the tau derivation
-        // below rests on. The draw also feeds the dimension auto-tuner
-        // its labelled train/holdout splits.
-        let (draw, draw_labels) = emg_windows(1024, 5);
+    // The query cache. It skips AM-scan work only where queries
+    // repeat, so it is measured on a scan-dominated shape: a one-shot
+    // 64-class associative memory (each class enrolled from a single
+    // window — the paper's one-shot learning mode, scaled out to a wide
+    // vocabulary) driven by a repeated-window stream (a 48-window pool
+    // cycled to 256 — the steady-state streaming shape the cache
+    // targets). Its exactness is pinned by
+    // `crates/core/tests/prop_equivalence.rs`; this block pins the
+    // speed side and fills the JSON's `"query_cache"` section.
+    println!("query cache at batch 256 (one-shot 64-class AM, repeated-window stream)\n");
+    // Enroll the one-shot classes greedily, keeping only windows whose
+    // *quantized* codes land ≥ 2 amplitude levels away from every
+    // already-enrolled window in at least 20% of positions: the
+    // synthetic stream repeats itself (steady-state gesture segments
+    // quantize to identical windows), and near-duplicate enrolments
+    // would make classes indistinguishable. The draw also feeds the
+    // dimension auto-tuner its labelled train/holdout splits.
+    let (draw, draw_labels) = emg_windows(1024, 5);
+    let cache_report = {
         let spread = |a: &[Vec<u16>], b: &[Vec<u16>]| {
             let codes = a.iter().zip(b).flat_map(|(sa, sb)| sa.iter().zip(sb));
             let (diff, total) = codes.fold((0usize, 0usize), |(d, t), (xa, xb)| {
@@ -657,135 +600,76 @@ fn main() {
             64,
             "the 1024-window draw must yield 64 spread one-shot prototypes"
         );
-        let approx_params = AccelParams {
+        let cache_params = AccelParams {
             classes: enrolled.len(),
             ..params
         };
-        let spec = TrainSpec::random(&approx_params, 0x7412);
+        let spec = TrainSpec::random(&cache_params, 0x7412);
         let one_shot_labels: Vec<usize> = (0..enrolled.len()).collect();
         let mut trainer = FastBackend::with_threads(threads)
             .begin_training(&spec)
-            .expect("approx training session");
+            .expect("one-shot training session");
         trainer
             .train_batch(&enrolled, &one_shot_labels)
-            .expect("approx enrolment");
-        let approx_model = trainer.finalize().expect("approx model");
+            .expect("one-shot enrolment");
+        let cache_model = trainer.finalize().expect("one-shot model");
 
         const POOL: usize = 48;
         const CAPACITY: usize = 64;
         let stream: Vec<Vec<Vec<u16>>> = (0..256).map(|i| enrolled[i % POOL].clone()).collect();
-
-        // Derive tau from the measured geometry, the same recipe the
-        // accuracy harness documents: safely below the tightest
-        // runner-up distance on this stream, so the threshold scan can
-        // only ever accept the true nearest prototype here.
         let mut exact = FastBackend::with_threads(threads)
-            .prepare(&approx_model)
-            .expect("approx exact prepare");
-        let pool_verdicts = exact.classify_batch(&stream[..POOL]).expect("tau probe");
-        let min_runner_up = pool_verdicts
-            .iter()
-            .map(|v| {
-                v.distances
-                    .iter()
-                    .enumerate()
-                    .filter(|&(c, _)| c != v.class)
-                    .map(|(_, &d)| d)
-                    .min()
-                    .expect("at least two classes")
-            })
-            .min()
-            .expect("non-empty pool");
-        assert!(
-            min_runner_up > 0,
-            "one-shot prototypes must be distinct for the tau derivation"
-        );
-        let bits = (approx_params.n_words * 32) as f64;
-        let tau = (0.8 * f64::from(min_runner_up) / bits) as f32;
-
-        let mut threshold = FastBackend::with_threads(threads)
-            .with_approx(ApproxPolicy::Threshold { tau })
-            .prepare(&approx_model)
-            .expect("approx threshold prepare");
+            .prepare(&cache_model)
+            .expect("plain prepare");
         let mut cached = FastBackend::with_threads(threads)
-            .with_approx(ApproxPolicy::Cached { capacity: CAPACITY })
-            .prepare(&approx_model)
-            .expect("approx cached prepare");
-        let mut cached_threshold = FastBackend::with_threads(threads)
-            .with_approx(ApproxPolicy::CachedThreshold {
-                tau,
-                capacity: CAPACITY,
-            })
-            .prepare(&approx_model)
-            .expect("approx cached-threshold prepare");
+            .with_cache(NonZeroUsize::new(CAPACITY).expect("non-zero capacity"))
+            .prepare(&cache_model)
+            .expect("cached prepare");
 
         // Interleaved best-of-three, like every CI-gated within-run
-        // ratio. The caching sessions deliberately keep their warm
-        // caches across reps — steady-state streaming is the state the
-        // rung exists for — and the recorded hit rate is the
-        // accumulated one.
+        // ratio. The cached session deliberately keeps its warm caches
+        // across reps — steady-state streaming is the state it exists
+        // for — and the recorded hit rate is the accumulated one.
         let mut ex_secs = f64::INFINITY;
-        let mut th_secs = f64::INFINITY;
         let mut ca_secs = f64::INFINITY;
-        let mut ct_secs = f64::INFINITY;
         for rep in 0..3 {
-            let e = bench(&format!("approx/exact/batch256/rep{rep}"), 8, || {
+            let e = bench(&format!("cache/plain/batch256/rep{rep}"), 8, || {
                 exact.classify_batch(&stream).unwrap()
             });
-            let t = bench(&format!("approx/threshold/batch256/rep{rep}"), 8, || {
-                threshold.classify_batch(&stream).unwrap()
-            });
-            let c = bench(&format!("approx/cached/batch256/rep{rep}"), 8, || {
+            let c = bench(&format!("cache/cached/batch256/rep{rep}"), 8, || {
                 cached.classify_batch(&stream).unwrap()
             });
-            let b = bench(
-                &format!("approx/cached-threshold/batch256/rep{rep}"),
-                8,
-                || cached_threshold.classify_batch(&stream).unwrap(),
-            );
             ex_secs = ex_secs.min(e.per_iter().as_secs_f64());
-            th_secs = th_secs.min(t.per_iter().as_secs_f64());
             ca_secs = ca_secs.min(c.per_iter().as_secs_f64());
-            ct_secs = ct_secs.min(b.per_iter().as_secs_f64());
         }
-        let monitor = cached.approx_monitor().expect("cached session monitor");
-        let cache_hit_rate =
-            monitor.hits() as f64 / (monitor.hits() + monitor.misses()).max(1) as f64;
+        let monitor = cached.cache_monitor().expect("cached session monitor");
+        let wps = |secs: f64| 256.0 / secs;
+        let report = CacheReport {
+            capacity: CAPACITY,
+            pool: POOL,
+            classes: cache_params.classes,
+            exact_wps: wps(ex_secs),
+            cached_wps: wps(ca_secs),
+            hit_rate: monitor.hits() as f64 / (monitor.hits() + monitor.misses()).max(1) as f64,
+        };
+        println!(
+            "  plain {:>9.0} w/s   cached {:>9.0} w/s ({:.2}x, hit rate {:.0}%)",
+            report.exact_wps,
+            report.cached_wps,
+            report.cached_wps / report.exact_wps,
+            100.0 * report.hit_rate,
+        );
+        report
+    };
 
-        // `ApproxPolicy::Exact` must stay free: an explicitly-Exact
-        // session vs the plain fast/mt session it is code-identical
-        // to, interleaved on the standard 5-class workload. The plain
-        // side re-measured here is the same protocol as the recorded
-        // `fast/mt` baseline row, so the 0.98 floor is a within-run
-        // (machine-independent) restatement of "within 0.98x of the
-        // recorded fast/mt baseline".
-        let mut exact_policy = FastBackend::with_threads(threads)
-            .with_approx(ApproxPolicy::Exact)
-            .prepare(&model)
-            .expect("explicit-Exact prepare");
-        let batch_windows = &windows[..256];
-        let mut plain_secs = f64::INFINITY;
-        let mut policy_secs = f64::INFINITY;
-        for rep in 0..5 {
-            let p = bench(&format!("approx/plain-fast/batch256/rep{rep}"), 8, || {
-                fast_mt.classify_batch(batch_windows).unwrap()
-            });
-            let e = bench(&format!("approx/exact-policy/batch256/rep{rep}"), 8, || {
-                exact_policy.classify_batch(batch_windows).unwrap()
-            });
-            plain_secs = plain_secs.min(p.per_iter().as_secs_f64());
-            policy_secs = policy_secs.min(e.per_iter().as_secs_f64());
-        }
-
-        // The dimension auto-tuner on the real 5-gesture task: the
-        // smallest halving-ladder width that holds the accuracy floor
-        // on a held-out split, recorded so the JSON carries the
-        // accuracy-for-dimension trade alongside the throughput one.
-        // Split the draw into 32-window blocks dealt alternately to the
-        // two splits: it is ordered by trial, so contiguous halves
-        // would not cover every gesture, while a per-window interleave
-        // leaks near-duplicate neighbouring windows across the splits
-        // and lets the ladder ride down to absurd widths.
+    // The dimension auto-tuner on the real 5-gesture task: the smallest
+    // halving-ladder width that holds the accuracy floor on a held-out
+    // split, recorded so the JSON carries the accuracy-for-dimension
+    // trade. Split the draw into 32-window blocks dealt alternately to
+    // the two splits: it is ordered by trial, so contiguous halves
+    // would not cover every gesture, while a per-window interleave
+    // leaks near-duplicate neighbouring windows across the splits and
+    // lets the ladder ride down to absurd widths.
+    let tuner_report = {
         let half = |windows: &[Vec<Vec<u16>>], labels: &[usize], keep: usize| {
             let pick = |i: &usize| (i / 32) % 2 == keep;
             let w: Vec<Vec<Vec<u16>>> = (0..windows.len())
@@ -813,55 +697,22 @@ fn main() {
         )
         .expect("tuner probe");
         let base_accuracy = probe.evaluated.first().expect("probed base width").1;
-        let tuner_floor = 0.97 * base_accuracy;
+        let floor = 0.97 * base_accuracy;
         let tuned = tune_dimension(
             &tuner,
             &params,
             0x7412,
             (&tune_train_w, &tune_train_l),
             (&tune_hold_w, &tune_hold_l),
-            tuner_floor,
+            floor,
         )
         .expect("dimension tuning");
-
-        let wps = |secs: f64| 256.0 / secs;
-        let report = ApproxReport {
-            tau,
-            cache_capacity: CAPACITY,
-            pool: POOL,
-            classes: approx_params.classes,
-            exact_wps: wps(ex_secs),
-            threshold_wps: wps(th_secs),
-            cached_wps: wps(ca_secs),
-            cached_threshold_wps: wps(ct_secs),
-            cache_hit_rate,
-            exact_policy_wps: wps(policy_secs),
-            plain_fast_wps: wps(plain_secs),
-            tuner_base_words: params.n_words,
-            tuner_selected_words: tuned.n_words,
-            tuner_accuracy: tuned.accuracy,
-            tuner_floor,
+        let report = TunerReport {
+            base_words: params.n_words,
+            selected_words: tuned.n_words,
+            accuracy: tuned.accuracy,
+            floor,
         };
-        println!(
-            "  exact {:>9.0} w/s   threshold(tau={:.3}) {:>9.0} w/s ({:.2}x)   \
-             cached {:>9.0} w/s ({:.2}x, hit rate {:.0}%)   cached+threshold {:>9.0} w/s ({:.2}x)",
-            report.exact_wps,
-            report.tau,
-            report.threshold_wps,
-            report.threshold_wps / report.exact_wps,
-            report.cached_wps,
-            report.cached_wps / report.exact_wps,
-            100.0 * report.cache_hit_rate,
-            report.cached_threshold_wps,
-            report.cached_threshold_wps / report.exact_wps,
-        );
-        println!(
-            "  ApproxPolicy::Exact on the 5-class workload: {:.0} w/s vs plain fast/mt \
-             {:.0} w/s ({:.3}x)",
-            report.exact_policy_wps,
-            report.plain_fast_wps,
-            report.exact_policy_wps / report.plain_fast_wps,
-        );
         let curve: Vec<String> = tuned
             .evaluated
             .iter()
@@ -870,10 +721,10 @@ fn main() {
         println!(
             "  dimension auto-tuner: {} -> {} u32 words at {:.1}% holdout accuracy \
              (floor {:.0}%; ladder {})\n",
-            report.tuner_base_words,
-            report.tuner_selected_words,
-            100.0 * report.tuner_accuracy,
-            100.0 * report.tuner_floor,
+            report.base_words,
+            report.selected_words,
+            100.0 * report.accuracy,
+            100.0 * report.floor,
             curve.join(", "),
         );
         report
@@ -1168,12 +1019,6 @@ fn main() {
         "wire serving over UDS (64 closed-loop clients) vs in-process adaptive: \
          {net_serving_ratio:.2}x"
     );
-    let (cliff_full, cliff_pruned) = pruned_cliff.expect("batch 256 measured");
-    println!(
-        "pruned-scan cliff at batch 256: fast/mt {cliff_full:.0} w/s vs fast-pruned/mt \
-         {cliff_pruned:.0} w/s ({:.2}x — large batches belong on ScanPolicy::Full)",
-        cliff_pruned / cliff_full
-    );
     write_json(
         &params,
         threads,
@@ -1186,8 +1031,8 @@ fn main() {
         train_speedup,
         serving_speedup,
         net_serving_ratio,
-        (cliff_full, cliff_pruned),
-        &approx_report,
+        &cache_report,
+        &tuner_report,
     );
     assert!(
         speedup > 1.0,
@@ -1287,54 +1132,26 @@ fn main() {
              ({net_uds_64_wps:.0} vs {serve_adaptive_wps:.0} w/s)"
         );
     }
-    // The pruned-scan cliff floor: Pruned trades large-batch throughput
-    // for single-window latency (see `ScanPolicy::Pruned`'s docs), and
-    // the recorded cliff sits near 0.5x at batch 256. Guard the floor
-    // so the documented trade-off cannot silently deepen past ~3x.
+    // The query-cache guard, a within-run interleaved comparison and
+    // so machine-independent: on the repeated-window stream the cached
+    // session must clearly beat the plain scan — the whole reason the
+    // cache exists.
+    let cache_ratio = cache_report.cached_wps / cache_report.exact_wps;
     assert!(
-        cliff_pruned >= 0.35 * cliff_full,
-        "the pruned-scan cliff deepened: fast-pruned/mt {cliff_pruned:.0} w/s vs \
-         fast/mt {cliff_full:.0} w/s at batch 256 ({:.2}x, floor 0.35x)",
-        cliff_pruned / cliff_full
+        cache_ratio >= 1.3,
+        "the query cache must reach >= 1.3x the plain scan on the repeated-window stream \
+         at batch 256, got {cache_ratio:.2}x (plain {:.0} w/s, cached {:.0} w/s)",
+        cache_report.exact_wps,
+        cache_report.cached_wps
     );
-    // The approximate-ladder guards — both within-run interleaved
-    // comparisons, so machine-independent. (1) On the repeated-window
-    // stream the best approximate rung must clearly beat the exact
-    // scan: the whole reason the ladder exists.
-    let approx_best = approx_report
-        .threshold_wps
-        .max(approx_report.cached_wps)
-        .max(approx_report.cached_threshold_wps);
-    let approx_ratio = approx_best / approx_report.exact_wps;
+    // The tuner's pick holds its floor (`tune_dimension` already fails
+    // the run outright if even the base width misses it).
     assert!(
-        approx_ratio >= 1.3,
-        "the approximate ladder must reach >= 1.3x the exact scan on the repeated-window \
-         stream at batch 256, got {approx_ratio:.2}x (exact {:.0} w/s, best rung \
-         {approx_best:.0} w/s)",
-        approx_report.exact_wps
-    );
-    // (2) The default path pays nothing for the new knob: the
-    // explicitly-Exact session must stay within 2% of the plain
-    // fast/mt session it is code-identical to — the within-run
-    // restatement of "Exact within 0.98x of the recorded fast/mt
-    // baseline" (the plain side here is the same session and protocol
-    // that produced the baseline row).
-    let exact_policy_ratio = approx_report.exact_policy_wps / approx_report.plain_fast_wps;
-    assert!(
-        exact_policy_ratio >= 0.98,
-        "ApproxPolicy::Exact taxed the default path: {:.0} w/s vs plain fast/mt {:.0} w/s \
-         ({exact_policy_ratio:.3}x, floor 0.98x)",
-        approx_report.exact_policy_wps,
-        approx_report.plain_fast_wps
-    );
-    // (3) The tuner's pick holds its floor (`tune_dimension` already
-    // fails the run outright if even the base width misses it).
-    assert!(
-        approx_report.tuner_accuracy >= approx_report.tuner_floor,
+        tuner_report.accuracy >= tuner_report.floor,
         "the tuned model missed its accuracy floor: {:.3} < {:.2} at {} words",
-        approx_report.tuner_accuracy,
-        approx_report.tuner_floor,
-        approx_report.tuner_selected_words
+        tuner_report.accuracy,
+        tuner_report.floor,
+        tuner_report.selected_words
     );
     // (2) Tail latency: the batcher's structural worst case for an
     // accepted request is bounded — land just after a batch closes and

@@ -9,9 +9,10 @@
 //! * hypervectors are repacked into [`Hv64`] words, halving the word
 //!   count of every bind/rotate/majority/popcount;
 //! * every word loop of those kernels dispatches through
-//!   [`hdc::simd::Simd`] — AVX2/POPCNT lanes when the CPU has them, a
-//!   portable unrolled fallback otherwise, selected once per process
-//!   (`BENCH_throughput.json` records which level a bench run used);
+//!   [`hdc::simd::Simd`] — AVX-512 or AVX2/POPCNT kernels when the CPU
+//!   has them, a portable unrolled fallback otherwise, selected once
+//!   per process (`BENCH_throughput.json` records which level a bench
+//!   run used);
 //! * the `channels × levels` bind table `IM[c] ⊕ CIM[l]` is
 //!   precomputed at [`prepare`](super::ExecutionBackend::prepare) time
 //!   into one flat buffer, removing one XOR per channel per sample from
@@ -49,50 +50,34 @@
 //!   [`BackendError::WorkerLost`], and the worker rebuilds its arena
 //!   and keeps serving.
 //!
-//! The associative-memory search is controlled by [`ScanPolicy`]: the
-//! default [`ScanPolicy::Full`] scans every prototype word and returns
-//! exact distances (bit-identical `Verdict`s vs. the golden backend);
-//! [`ScanPolicy::Pruned`] abandons a prototype as soon as its partial
-//! distance exceeds the running minimum — same class, always, with the
-//! lower-bound distance semantics documented at
-//! [`hdc::hv64::scan_pruned_into`].
+//! The associative-memory search is one exact scan: a full
+//! [`Hv64::hamming`] against every prototype, and the first minimum
+//! wins. Every distance is exact, and verdicts are bit-identical to the
+//! golden backend's.
 //!
-//! **Scan-policy crossover.** Pruning only pays when there is work to
-//! skip *and* the skipped work outweighs the per-block bookkeeping: at
-//! batch 256 on the 5-class EMG model the bench records `fast-pruned`
-//! at ~0.85× `fast` (the `"pruned_cliff"` guard in
-//! `BENCH_throughput.json`). With one prototype there is nothing to
-//! skip at all: the first prototype is always scanned in full to set
-//! the running minimum, and there is no second one to abandon or to
-//! accept early in its place. So sessions whose associative memory
-//! holds **≤ 1 prototype silently run [`ScanPolicy::Full`]** whatever
-//! was requested: a one-class model (a detector that only scores the
-//! distance to one learned pattern) pays no bookkeeping, and its
-//! verdicts carry the exact distance and [`VerdictSource::Scan`]. Reach
-//! for `Pruned` in latency-sensitive single-window regimes with many
-//! classes; large batches and tiny associative memories belong on
-//! `Full`.
+//! **Query cache.** [`FastBackend::with_cache`] puts a private LRU
+//! cache of scan results in front of each participant's scan. A hit
+//! needs the encoded query to match a cached one word for word, and
+//! replays that scan's class and distances, so a cached verdict differs
+//! from the scanned one only in [`Verdict::source`]
+//! ([`VerdictSource::CacheHit`]). The session counts hits, misses and
+//! evictions ([`CacheMonitor`]). The cache pays only when queries
+//! repeat and the scan dominates. One thread at the AVX-512 level,
+//! 256-window batches of 5-sample EMG windows, a 64-entry cache: on a
+//! 64-class model in arrival order it read ×1.40–1.45 the plain scan's
+//! throughput; on 5 classes, or on shuffled pools of distinct windows,
+//! ×0.60–0.88.
 //!
-//! On top of the exact scan sits the **approximate inference ladder**,
-//! [`ApproxPolicy`]: threshold early-termination
-//! ([`ApproxPolicy::Threshold`], accept the first prototype provably
-//! within τ·D via [`hdc::hv64::scan_threshold_into`]), a
-//! query-similarity cache ([`ApproxPolicy::Cached`], replay the scan
-//! of an identical recent query), and their composition. Approximate
-//! verdicts carry their provenance in [`Verdict::source`] and are
-//! checked by accuracy tests (`crates/core/tests/approx_accuracy.rs`)
-//! instead of bit-equivalence; the default [`ApproxPolicy::Exact`]
-//! stays bit-identical to golden.
-//!
-//! `crates/bench/benches/throughput.rs` measures all of it and records
+//! `crates/bench/benches/throughput.rs` measures the backend and records
 //! the numbers in `BENCH_throughput.json`.
 
+use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 
-use hdc::hv64::{scan_pruned_into, scan_threshold_into, BitslicedBundler, CounterBundler, Hv64};
+use hdc::hv64::{BitslicedBundler, CounterBundler, Hv64};
 use hdc::item_memory::quantize_code;
 use hdc::rng::{derive_seed, Xoshiro256PlusPlus};
 use hdc::simd::RIPPLE_PLANES;
@@ -111,138 +96,11 @@ use super::{
 /// this, the batch runs inline on the calling thread.
 pub const MIN_WINDOWS_PER_WORKER: usize = 8;
 
-/// Associative-memory scan strategy of the [`FastBackend`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScanPolicy {
-    /// Scan every prototype completely: exact Hamming distances for all
-    /// classes, `Verdict`s bit-identical to the golden backend.
-    #[default]
-    Full,
-    /// Early-exit scan: abandon a prototype once its partial distance
-    /// exceeds the running minimum. The predicted class (and the
-    /// winner's distance) are always identical to [`Full`](Self::Full);
-    /// non-winning `distances` entries may be the partial distance at
-    /// the abandonment point — a lower bound on the true distance that
-    /// still exceeds the winning distance (see
-    /// [`hdc::hv64::scan_pruned_into`]).
-    ///
-    /// **Large batches should stay on [`Full`](Self::Full) for now**:
-    /// on the multi-threaded batch path the pruned scan's extra
-    /// per-block bookkeeping currently *costs* throughput instead of
-    /// saving it — the bench's pruned-cliff guard records `fast-pruned`
-    /// at roughly half of `fast` at batch 256 (`"pruned_cliff"` in
-    /// `BENCH_throughput.json`). Reach for `Pruned` in
-    /// latency-sensitive single-window regimes with many classes, where
-    /// skipping doomed prototypes shortens the critical path, not to
-    /// speed up bulk batches.
-    Pruned,
-}
-
-/// The approximate-inference ladder of the [`FastBackend`]: how much
-/// exactness to trade for scan throughput (see the [module
-/// docs](self)).
-///
-/// The rungs compose — [`CachedThreshold`](Self::CachedThreshold) runs
-/// the cache in front of the threshold scan — and every non-`Exact`
-/// rung marks its verdicts' [`Verdict::source`], so a pipeline can
-/// audit exactly which shortcuts fired. Accuracy (not bit-equivalence)
-/// is the correctness contract for the approximate rungs, pinned by
-/// `crates/core/tests/approx_accuracy.rs`.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum ApproxPolicy {
-    /// No approximation: verdicts bit-identical to the exact scan
-    /// (and, under [`ScanPolicy::Full`], to the golden backend).
-    #[default]
-    Exact,
-    /// Threshold early-termination: accept the first prototype whose
-    /// Hamming distance is provably at most `tau × D` (`D` = the model
-    /// dimension in bits) and skip the remaining classes. Queries that
-    /// land close to their class prototype — the common case on
-    /// clustered sensor data — finish after a fraction of the
-    /// associative memory; queries near no prototype degrade to the
-    /// exact pruned scan and return the true arg-min.
-    Threshold {
-        /// Acceptance radius as a fraction of the dimension, in
-        /// `(0, 1)`. Random hypervectors sit at ~0.5·D from each other,
-        /// so useful values live well below that (τ ≈ 0.2–0.3 on the
-        /// EMG workload).
-        tau: f32,
-    },
-    /// Query-similarity cache: a per-participant fixed-capacity LRU
-    /// keyed on a cheap signature of the encoded query. A hit requires
-    /// the cached query to match the new one **word for word** (the
-    /// signature is only a filter), so replayed verdicts are exactly
-    /// what the scan would have produced — the accuracy cost is zero;
-    /// the win is skipping the AM scan for repeated windows, which
-    /// streaming sensor data produces constantly.
-    Cached {
-        /// Entries per participant (calling thread and each pool
-        /// worker hold a private cache; must be ≥ 1). Each entry owns
-        /// one packed query plus one distances vector.
-        capacity: usize,
-    },
-    /// Both rungs: the cache short-circuits repeated queries, the
-    /// threshold scan accelerates the misses.
-    CachedThreshold {
-        /// As in [`Threshold`](Self::Threshold).
-        tau: f32,
-        /// As in [`Cached`](Self::Cached).
-        capacity: usize,
-    },
-}
-
-impl ApproxPolicy {
-    /// The acceptance fraction, when threshold early-termination is
-    /// enabled.
-    #[must_use]
-    pub fn tau(&self) -> Option<f32> {
-        match *self {
-            Self::Threshold { tau } | Self::CachedThreshold { tau, .. } => Some(tau),
-            Self::Exact | Self::Cached { .. } => None,
-        }
-    }
-
-    /// The per-participant cache capacity, when caching is enabled.
-    #[must_use]
-    pub fn capacity(&self) -> Option<usize> {
-        match *self {
-            Self::Cached { capacity } | Self::CachedThreshold { capacity, .. } => Some(capacity),
-            Self::Exact | Self::Threshold { .. } => None,
-        }
-    }
-
-    /// Whether this is the exact (bit-identical) default.
-    #[must_use]
-    pub fn is_exact(&self) -> bool {
-        matches!(self, Self::Exact)
-    }
-
-    /// Rejects malformed knobs with [`BackendError::Config`] — called
-    /// at `prepare` time, before any model work.
-    fn validate(&self) -> Result<(), BackendError> {
-        if let Some(tau) = self.tau() {
-            if !tau.is_finite() || tau <= 0.0 || tau >= 1.0 {
-                return Err(BackendError::Config(format!(
-                    "approximate scan threshold tau must be a finite fraction in (0, 1), got {tau}"
-                )));
-            }
-        }
-        if let Some(capacity) = self.capacity() {
-            if capacity == 0 {
-                return Err(BackendError::Config(
-                    "query cache capacity must be at least 1 entry".into(),
-                ));
-            }
-        }
-        Ok(())
-    }
-}
-
 /// Shared hit/miss/evict counters of a session's query caches. Every
 /// participant's private cache ticks the same counters, so the monitor
 /// sees the session-wide totals.
 #[derive(Debug, Default)]
-struct ApproxCounters {
+struct CacheCounters {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -250,15 +108,15 @@ struct ApproxCounters {
 
 /// A cloneable, read-only handle onto a session's query-cache counters
 /// (hits / misses / evictions), obtained from
-/// [`BackendSession::approx_monitor`] and safe to poll from any thread
+/// [`BackendSession::cache_monitor`] and safe to poll from any thread
 /// while the session serves — the serving front-end surfaces these
 /// through `ServerStats`.
 #[derive(Debug, Clone)]
-pub struct ApproxMonitor {
-    counters: Arc<ApproxCounters>,
+pub struct CacheMonitor {
+    counters: Arc<CacheCounters>,
 }
 
-impl ApproxMonitor {
+impl CacheMonitor {
     /// Windows answered straight from a query cache.
     #[must_use]
     pub fn hits(&self) -> u64 {
@@ -325,15 +183,15 @@ struct CacheEntry {
 /// structure at this size and free of per-hit allocation.
 struct QueryCache {
     entries: Vec<CacheEntry>,
-    capacity: usize,
+    capacity: NonZeroUsize,
     clock: u64,
-    counters: Arc<ApproxCounters>,
+    counters: Arc<CacheCounters>,
 }
 
 impl QueryCache {
-    fn new(capacity: usize, counters: Arc<ApproxCounters>) -> Self {
+    fn new(capacity: NonZeroUsize, counters: Arc<CacheCounters>) -> Self {
         Self {
-            entries: Vec::with_capacity(capacity),
+            entries: Vec::with_capacity(capacity.get()),
             capacity,
             clock: 0,
             counters,
@@ -366,7 +224,7 @@ impl QueryCache {
     /// used entry at capacity.
     fn insert(&mut self, sig: u64, words: &[u64], class: usize, distances: Vec<u32>) {
         self.clock += 1;
-        if self.entries.len() == self.capacity {
+        if self.entries.len() == self.capacity.get() {
             let oldest = self
                 .entries
                 .iter()
@@ -374,8 +232,8 @@ impl QueryCache {
                 .min_by_key(|(_, e)| e.stamp)
                 .map(|(i, _)| i)
                 // INFALLIBLE: this branch runs only when the cache is
-                // at capacity, and capacity is validated >= 1, so the
-                // iterator is non-empty.
+                // at capacity, and the capacity is a `NonZeroUsize`, so
+                // the iterator is non-empty.
                 .expect("capacity >= 1, so a full cache has entries");
             self.entries.swap_remove(oldest);
             // ORDERING: Relaxed telemetry, as for `hits` above.
@@ -403,20 +261,19 @@ impl QueryCache {
 #[derive(Debug, Clone, Copy)]
 pub struct FastBackend {
     threads: usize,
-    scan: ScanPolicy,
-    approx: ApproxPolicy,
+    /// Per-participant query-cache capacity; `None` runs without one.
+    cache: Option<NonZeroUsize>,
 }
 
 impl FastBackend {
-    /// A backend using all available CPU parallelism for batches, the
-    /// exact [`ScanPolicy::Full`] AM scan, and no approximation.
+    /// A backend using all available CPU parallelism for batches and no
+    /// query cache.
     #[must_use]
     pub fn new() -> Self {
-        let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let threads = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
         Self {
             threads,
-            scan: ScanPolicy::Full,
-            approx: ApproxPolicy::Exact,
+            cache: None,
         }
     }
 
@@ -454,26 +311,17 @@ impl FastBackend {
         }
         Ok(Self {
             threads,
-            scan: ScanPolicy::Full,
-            approx: ApproxPolicy::Exact,
+            cache: None,
         })
     }
 
-    /// Returns this backend with the given AM scan policy.
+    /// Returns this backend with a query cache of `capacity` entries
+    /// per participant: the calling thread and each pool worker hold a
+    /// private one, and each entry owns one packed query plus one
+    /// distances vector (see the [module docs](self)).
     #[must_use]
-    pub fn with_scan(mut self, scan: ScanPolicy) -> Self {
-        self.scan = scan;
-        self
-    }
-
-    /// Returns this backend with the given approximation policy. The
-    /// knobs are validated at [`prepare`](ExecutionBackend::prepare)
-    /// time ([`BackendError::Config`] on a τ outside `(0, 1)` or a
-    /// zero cache capacity), matching the `Result`-based contract
-    /// there.
-    #[must_use]
-    pub fn with_approx(mut self, approx: ApproxPolicy) -> Self {
-        self.approx = approx;
+    pub fn with_cache(mut self, capacity: NonZeroUsize) -> Self {
+        self.cache = Some(capacity);
         self
     }
 
@@ -483,46 +331,25 @@ impl FastBackend {
         self.threads
     }
 
-    /// The configured AM scan policy.
+    /// The per-participant query-cache capacity, when the cache is on.
     #[must_use]
-    pub fn scan(&self) -> ScanPolicy {
-        self.scan
-    }
-
-    /// The configured approximation policy.
-    #[must_use]
-    pub fn approx(&self) -> ApproxPolicy {
-        self.approx
+    pub fn cache(&self) -> Option<NonZeroUsize> {
+        self.cache
     }
 
     /// [`prepare`](ExecutionBackend::prepare) with an explicit
     /// participant count (callers + pool workers), bypassing the
     /// `available_parallelism` clamp — the testable core of session
     /// construction, also exercised on single-CPU hosts.
-    fn prepare_with_participants(
-        &self,
-        model: &HdModel,
-        participants: usize,
-    ) -> Result<FastSession, BackendError> {
-        self.approx.validate()?;
+    fn prepare_with_participants(&self, model: &HdModel, participants: usize) -> FastSession {
         let enc = EncodeCore::from_parts(model.im(), model.cim(), model.ngram());
         let prototypes: Vec<Hv64> = model.prototypes().iter().map(Hv64::from_binary).collect();
         let n_words32 = enc.n_words32;
-        // The τ fraction resolves to an absolute bit radius here, once.
-        let accept = self.approx.tau().map(|tau| {
-            #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation)]
-            #[allow(clippy::cast_sign_loss)]
-            let radius = (tau * (n_words32 * 32) as f32) as u32;
-            radius
-        });
-        let counters = Arc::new(ApproxCounters::default());
         let core = Arc::new(FastCore {
             enc,
             prototypes,
-            scan: self.scan,
-            accept,
-            cache_capacity: self.approx.capacity(),
-            counters,
+            cache_capacity: self.cache,
+            counters: Arc::new(CacheCounters::default()),
         });
         let caught = Arc::new(AtomicU64::new(0));
         let pool = {
@@ -569,17 +396,17 @@ impl FastBackend {
             })
         };
         let cache = core.new_cache();
-        let monitor = core.cache_capacity.map(|_| ApproxMonitor {
+        let monitor = core.cache_capacity.map(|_| CacheMonitor {
             counters: Arc::clone(&core.counters),
         });
-        Ok(FastSession {
+        FastSession {
             scratch: EncodeScratch::new(n_words32),
             cache,
             monitor,
             core,
             pool,
             caught,
-        })
+        }
     }
 
     /// [`begin_training`](TrainableBackend::begin_training) with an
@@ -679,39 +506,24 @@ impl Default for FastBackend {
 
 impl ExecutionBackend for FastBackend {
     fn name(&self) -> &'static str {
-        match self.approx {
-            ApproxPolicy::Exact => match self.scan {
-                ScanPolicy::Full => "fast",
-                ScanPolicy::Pruned => "fast-pruned",
-            },
-            ApproxPolicy::Threshold { .. } => "fast-threshold",
-            ApproxPolicy::Cached { .. } => "fast-cached",
-            ApproxPolicy::CachedThreshold { .. } => "fast-cached-threshold",
+        if self.cache.is_some() {
+            "fast-cached"
+        } else {
+            "fast"
         }
     }
 
     fn prepare(&self, model: &HdModel) -> Result<Box<dyn BackendSession>, BackendError> {
-        let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        let session = self.prepare_with_participants(model, self.threads.min(cpus))?;
-        Ok(Box::new(session))
-    }
-
-    /// Honors both knobs: the returned session scans with `scan` and
-    /// approximates per `approx`, whatever this descriptor was built
-    /// with.
-    fn prepare_tuned(
-        &self,
-        model: &HdModel,
-        scan: ScanPolicy,
-        approx: ApproxPolicy,
-    ) -> Result<Box<dyn BackendSession>, BackendError> {
-        self.with_scan(scan).with_approx(approx).prepare(model)
+        let cpus = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        Ok(Box::new(
+            self.prepare_with_participants(model, self.threads.min(cpus)),
+        ))
     }
 }
 
 impl TrainableBackend for FastBackend {
     fn begin_training(&self, spec: &TrainSpec) -> Result<Box<dyn TrainingSession>, BackendError> {
-        let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let cpus = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
         let session = self.begin_training_with_participants(spec, self.threads.min(cpus))?;
         Ok(Box::new(session))
     }
@@ -841,75 +653,36 @@ impl EncodeCore {
 }
 
 /// The immutable, shareable part of a serving session: the encoding
-/// tables plus the trained prototypes and the resolved scan and
-/// approximation configuration.
+/// tables, the trained prototypes and the query-cache configuration.
 struct FastCore {
     enc: EncodeCore,
     prototypes: Vec<Hv64>,
-    scan: ScanPolicy,
-    /// Threshold-scan acceptance radius in bits (τ·D, resolved at
-    /// prepare time); `None` disables threshold early-termination.
-    accept: Option<u32>,
     /// Per-participant query-cache capacity; `None` disables caching.
-    cache_capacity: Option<usize>,
+    cache_capacity: Option<NonZeroUsize>,
     /// Session-wide cache telemetry, shared by every participant's
     /// private cache.
-    counters: Arc<ApproxCounters>,
+    counters: Arc<CacheCounters>,
 }
 
 impl FastCore {
     /// A fresh private query cache for one participant (`None` when the
-    /// policy does not cache). Workers respawn theirs after a contained
-    /// panic, exactly like their scratch arena.
+    /// backend runs without one). Workers respawn theirs after a
+    /// contained panic, exactly like their scratch arena.
     fn new_cache(&self) -> Option<QueryCache> {
         self.cache_capacity
             .map(|capacity| QueryCache::new(capacity, Arc::clone(&self.counters)))
     }
 
-    /// The associative-memory search on an already-encoded query.
+    /// The associative-memory search on an already-encoded query: the
+    /// exact distance to every prototype, first minimum wins.
     fn scan_query(&self, query: &Hv64) -> Verdict {
-        let mut distances = Vec::with_capacity(self.prototypes.len());
-        // With ≤ 1 prototype there is nothing to prune or skip: the one
-        // prototype is scanned in full whatever the policy, so the
-        // pruned or threshold bookkeeping would be pure loss, and the
-        // full scan keeps a one-class model's verdicts exact (see the
-        // module docs).
-        let effective = if self.prototypes.len() <= 1 {
-            ScanPolicy::Full
-        } else {
-            self.scan
-        };
-        let (class, source) = match self.accept {
-            Some(accept) if self.prototypes.len() > 1 => {
-                // The threshold scan embeds the exact pruning rule for
-                // prototypes it cannot accept, so `ScanPolicy` has no
-                // further work to do on this arm.
-                let (class, accepted) =
-                    scan_threshold_into(&self.prototypes, query, accept, &mut distances);
-                let source = if accepted {
-                    VerdictSource::EarlyAccept
-                } else {
-                    VerdictSource::Scan
-                };
-                (class, source)
-            }
-            _ => match effective {
-                ScanPolicy::Full => {
-                    distances.extend(self.prototypes.iter().map(|p| p.hamming(query)));
-                    (argmin(&distances), VerdictSource::Scan)
-                }
-                ScanPolicy::Pruned => (
-                    scan_pruned_into(&self.prototypes, query, &mut distances),
-                    VerdictSource::Scan,
-                ),
-            },
-        };
+        let distances: Vec<u32> = self.prototypes.iter().map(|p| p.hamming(query)).collect();
         Verdict {
-            class,
+            class: argmin(&distances),
             distances,
             query: query.to_binary(),
             cycles: None,
-            source,
+            source: VerdictSource::Scan,
         }
     }
 
@@ -924,8 +697,8 @@ impl FastCore {
         let Some(cache) = cache.as_mut() else {
             return Ok(self.scan_query(query));
         };
-        // Cache rung: signature filter, word-exact verification, replay
-        // on a hit; scan-and-remember on a miss.
+        // Signature filter, word-exact verification, replay on a hit;
+        // scan-and-remember on a miss.
         let sig = query_signature(query.words());
         if let Some((class, distances)) = cache.lookup(sig, query.words()) {
             return Ok(Verdict {
@@ -974,11 +747,11 @@ struct FastSession {
     /// Arena for single-window calls and inline (non-fanned) batches.
     scratch: EncodeScratch,
     /// The calling thread's private query cache (`None` unless the
-    /// approximation policy caches); pool workers own their own.
+    /// backend caches); pool workers own their own.
     cache: Option<QueryCache>,
     /// Handle onto the session-wide cache counters, cloned out through
-    /// [`BackendSession::approx_monitor`].
-    monitor: Option<ApproxMonitor>,
+    /// [`BackendSession::cache_monitor`].
+    monitor: Option<CacheMonitor>,
     pool: WorkerPool<ClassifyJob>,
     /// Worker panics contained so far (telemetry; each one also surfaced
     /// as a [`BackendError::WorkerLost`] to the affected batch).
@@ -1126,7 +899,7 @@ impl BackendSession for FastSession {
         result
     }
 
-    fn approx_monitor(&self) -> Option<ApproxMonitor> {
+    fn cache_monitor(&self) -> Option<CacheMonitor> {
         self.monitor.clone()
     }
 }
@@ -1398,9 +1171,7 @@ mod tests {
     /// of how many CPUs the test host has — the pool path must be
     /// exercised even on single-CPU machines.
     fn pooled_session(backend: FastBackend, model: &HdModel, participants: usize) -> FastSession {
-        backend
-            .prepare_with_participants(model, participants)
-            .unwrap()
+        backend.prepare_with_participants(model, participants)
     }
 
     /// The decisive property: fast == golden, bit for bit, across
@@ -1636,9 +1407,7 @@ mod tests {
             .unwrap()
             .classify_batch(&batch)
             .unwrap();
-        let mut session = FastBackend::with_threads(2)
-            .prepare_with_participants(&model, 2)
-            .unwrap();
+        let mut session = FastBackend::with_threads(2).prepare_with_participants(&model, 2);
         assert_eq!(session.fan_out(batch.len()), 2, "must reach the worker");
         assert_eq!(session.classify_batch(&batch).unwrap(), expected);
     }
@@ -1695,58 +1464,11 @@ mod tests {
         assert_eq!(solo.fan_out(usize::MAX), 1);
     }
 
-    /// The pruned scan trades distance exactness for speed but must
-    /// never change the decision, the query, or the winning distance.
-    #[test]
-    fn pruned_scan_keeps_class_and_query_identical_to_golden() {
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(0x9127_BEEF);
-        for case in 0..24 {
-            let params = AccelParams {
-                n_words: 1 + rng.next_below(24) as usize,
-                channels: 1 + rng.next_below(8) as usize,
-                levels: 2 + rng.next_below(28) as usize,
-                ngram: 1 + rng.next_below(4) as usize,
-                classes: 2 + rng.next_below(6) as usize,
-            };
-            let model = HdModel::random(&params, rng.next_u64());
-            let samples = params.ngram + rng.next_below(4) as usize;
-            let windows = random_windows(&params, samples, 6, rng.next_u64());
-            let mut golden = GoldenBackend.prepare(&model).unwrap();
-            let mut pruned = FastBackend::with_threads(3)
-                .with_scan(ScanPolicy::Pruned)
-                .prepare(&model)
-                .unwrap();
-            let expected = golden.classify_batch(&windows).unwrap();
-            let got = pruned.classify_batch(&windows).unwrap();
-            for (i, (p, g)) in got.iter().zip(&expected).enumerate() {
-                let ctx = format!("case {case} window {i} with {params:?}");
-                assert_eq!(p.class, g.class, "{ctx}: class");
-                assert_eq!(p.query, g.query, "{ctx}: query");
-                assert_eq!(
-                    p.distances[p.class], g.distances[g.class],
-                    "{ctx}: winning distance"
-                );
-                for (k, (&pd, &gd)) in p.distances.iter().zip(&g.distances).enumerate() {
-                    assert!(
-                        pd <= gd,
-                        "{ctx}: class {k} pruned distance is a lower bound"
-                    );
-                    if k != p.class {
-                        assert!(
-                            pd >= g.distances[g.class],
-                            "{ctx}: class {k} cannot undercut the winner"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
     /// Adversarial tie-heavy AM: identical and near-identical prototypes
-    /// force exact ties, which must resolve to the first minimum under
-    /// both scan policies.
+    /// force exact ties, which must resolve to the first minimum, with
+    /// every distance equal to golden's.
     #[test]
-    fn pruned_scan_survives_tie_heavy_prototype_sets() {
+    fn full_scan_survives_tie_heavy_prototype_sets() {
         let params = AccelParams {
             n_words: 8,
             channels: 4,
@@ -1755,30 +1477,33 @@ mod tests {
             classes: 6,
         };
         let mut base = HdModel::random(&params, 77);
-        // Duplicate prototype 0 into slots 1 and 3, and give slot 4 a
-        // one-bit variation: distances collide exactly.
-        let protos = base.prototypes().to_vec();
-        let mut rigged = protos.clone();
-        rigged[1] = protos[0].clone();
-        rigged[3] = protos[0].clone();
-        let mut nearly = protos[0].clone();
+        let windows = random_windows(&params, 4, 24, 3);
+        // Window 0's own query becomes prototype 0, duplicated into
+        // slots 1 and 3, and slot 4 is one bit off it: window 0 ties
+        // three ways at distance 0, and every window's distances to
+        // slots 0, 1 and 3 collide exactly.
+        let query = GoldenBackend
+            .prepare(&base)
+            .unwrap()
+            .classify(&windows[0])
+            .unwrap()
+            .query;
+        let mut rigged = base.prototypes().to_vec();
+        for slot in [0, 1, 3] {
+            rigged[slot] = query.clone();
+        }
+        let mut nearly = query;
         nearly.set_bit(17, !nearly.bit(17));
         rigged[4] = nearly;
         base = HdModel::new(base.cim().clone(), base.im().clone(), rigged, params.ngram).unwrap();
-        let windows = random_windows(&params, 4, 24, 3);
         let mut golden = GoldenBackend.prepare(&base).unwrap();
-        let mut pruned = FastBackend::with_threads(2)
-            .with_scan(ScanPolicy::Pruned)
-            .prepare(&base)
-            .unwrap();
+        let mut fast = pooled_session(FastBackend::with_threads(2), &base, 2);
         let expected = golden.classify_batch(&windows).unwrap();
-        let got = pruned.classify_batch(&windows).unwrap();
-        for (i, (p, g)) in got.iter().zip(&expected).enumerate() {
-            assert_eq!(p.class, g.class, "window {i}: tie-break order diverged");
-            assert_eq!(
-                p.distances[p.class], g.distances[g.class],
-                "window {i}: winning distance"
-            );
+        assert_eq!(expected[0].class, 0, "the three-way tie goes to slot 0");
+        assert_eq!(expected[0].distances[..2], [0, 0]);
+        let got = fast.classify_batch(&windows).unwrap();
+        for (i, (f, g)) in got.iter().zip(&expected).enumerate() {
+            assert_eq!(f, g, "window {i}: tie-break order or a distance diverged");
         }
     }
 
@@ -2042,7 +1767,7 @@ mod tests {
         ));
         let backend = FastBackend::try_with_threads(3).unwrap();
         assert_eq!(backend.threads(), 3);
-        assert_eq!(backend.scan(), ScanPolicy::Full);
+        assert_eq!(backend.cache(), None);
     }
 
     /// Dropping a session joins its workers without hanging, even when
@@ -2306,117 +2031,12 @@ mod tests {
 
     #[test]
     fn backend_names_reflect_scan_policy() {
+        let capacity = NonZeroUsize::new(8).unwrap();
         assert_eq!(FastBackend::new().name(), "fast");
-        assert_eq!(
-            FastBackend::new().with_scan(ScanPolicy::Pruned).name(),
-            "fast-pruned"
-        );
-        assert_eq!(FastBackend::new().scan(), ScanPolicy::Full);
-        assert_eq!(FastBackend::new().approx(), ApproxPolicy::Exact);
-        assert_eq!(
-            FastBackend::new()
-                .with_approx(ApproxPolicy::Threshold { tau: 0.25 })
-                .name(),
-            "fast-threshold"
-        );
-        assert_eq!(
-            FastBackend::new()
-                .with_approx(ApproxPolicy::Cached { capacity: 8 })
-                .name(),
-            "fast-cached"
-        );
-        assert_eq!(
-            FastBackend::new()
-                .with_scan(ScanPolicy::Pruned)
-                .with_approx(ApproxPolicy::CachedThreshold {
-                    tau: 0.25,
-                    capacity: 8,
-                })
-                .name(),
-            "fast-cached-threshold"
-        );
-    }
-
-    #[test]
-    fn approx_knobs_are_validated_at_prepare_time() {
-        let params = AccelParams {
-            n_words: 4,
-            ..AccelParams::emg_default()
-        };
-        let model = HdModel::random(&params, 3);
-        for bad in [
-            ApproxPolicy::Threshold { tau: 0.0 },
-            ApproxPolicy::Threshold { tau: 1.0 },
-            ApproxPolicy::Threshold { tau: -0.5 },
-            ApproxPolicy::Threshold { tau: f32::NAN },
-            ApproxPolicy::Threshold { tau: f32::INFINITY },
-            ApproxPolicy::Cached { capacity: 0 },
-            ApproxPolicy::CachedThreshold {
-                tau: 0.25,
-                capacity: 0,
-            },
-            ApproxPolicy::CachedThreshold {
-                tau: 2.0,
-                capacity: 4,
-            },
-        ] {
-            assert!(
-                matches!(
-                    FastBackend::with_threads(1)
-                        .with_approx(bad)
-                        .prepare(&model),
-                    Err(BackendError::Config(_))
-                ),
-                "{bad:?} must be rejected"
-            );
-        }
-    }
-
-    /// `prepare_tuned` honors both knobs on the fast backend and the
-    /// default implementation refuses non-exact requests.
-    #[test]
-    fn prepare_tuned_honors_knobs_and_default_rejects() {
-        let params = AccelParams {
-            n_words: 4,
-            ..AccelParams::emg_default()
-        };
-        let model = HdModel::random(&params, 7);
-        let windows = random_windows(&params, 3, 2, 11);
-        let mut exact = FastBackend::with_threads(1)
-            .prepare_tuned(&model, ScanPolicy::Full, ApproxPolicy::Exact)
-            .unwrap();
-        let mut tuned = FastBackend::with_threads(1)
-            .prepare_tuned(
-                &model,
-                ScanPolicy::Full,
-                ApproxPolicy::Cached { capacity: 4 },
-            )
-            .unwrap();
-        for w in &windows {
-            assert_eq!(
-                exact.classify(w).unwrap().class,
-                tuned.classify(w).unwrap().class
-            );
-        }
-        assert!(tuned.approx_monitor().is_some());
-        assert!(exact.approx_monitor().is_none());
-        // The provided default (here: golden) only does exact.
-        use crate::backend::GoldenBackend;
-        assert!(GoldenBackend
-            .prepare_tuned(&model, ScanPolicy::Full, ApproxPolicy::Exact)
-            .is_ok());
-        assert!(matches!(
-            GoldenBackend.prepare_tuned(
-                &model,
-                ScanPolicy::Full,
-                ApproxPolicy::Threshold { tau: 0.2 }
-            ),
-            Err(BackendError::Config(_))
-        ));
-        assert!(matches!(
-            GoldenBackend.prepare_tuned(&model, ScanPolicy::Pruned, ApproxPolicy::Exact),
-            Err(BackendError::Config(_))
-        ));
+        assert_eq!(FastBackend::new().cache(), None);
+        let cached = FastBackend::new().with_cache(capacity);
+        assert_eq!(cached.name(), "fast-cached");
+        assert_eq!(cached.cache(), Some(capacity));
     }
 
     /// A repeated window is answered from the cache (source says so,
@@ -2430,10 +2050,10 @@ mod tests {
         };
         let model = HdModel::random(&params, 13);
         let mut session = FastBackend::with_threads(1)
-            .with_approx(ApproxPolicy::Cached { capacity: 4 })
+            .with_cache(NonZeroUsize::new(4).unwrap())
             .prepare(&model)
             .unwrap();
-        let monitor = session.approx_monitor().unwrap();
+        let monitor = session.cache_monitor().unwrap();
         let windows = random_windows(&params, 3, 2, 17);
         let first = session.classify(&windows[0]).unwrap();
         assert_eq!(first.source, VerdictSource::Scan);
@@ -2460,10 +2080,10 @@ mod tests {
         };
         let model = HdModel::random(&params, 19);
         let mut session = FastBackend::with_threads(1)
-            .with_approx(ApproxPolicy::Cached { capacity: 2 })
+            .with_cache(NonZeroUsize::new(2).unwrap())
             .prepare(&model)
             .unwrap();
-        let monitor = session.approx_monitor().unwrap();
+        let monitor = session.cache_monitor().unwrap();
         let windows = random_windows(&params, 3, 3, 23);
         session.classify(&windows[0]).unwrap(); // miss, cache [0]
         session.classify(&windows[1]).unwrap(); // miss, cache [0, 1]
@@ -2503,8 +2123,8 @@ mod tests {
             query_signature(&b),
             "the collision must be real for this test to bite"
         );
-        let counters = Arc::new(ApproxCounters::default());
-        let mut cache = QueryCache::new(4, Arc::clone(&counters));
+        let counters = Arc::new(CacheCounters::default());
+        let mut cache = QueryCache::new(NonZeroUsize::new(4).unwrap(), Arc::clone(&counters));
         let sig = query_signature(&a);
         cache.insert(sig, &a, 3, vec![9, 8, 7, 0]);
         assert!(
@@ -2558,7 +2178,7 @@ mod tests {
             Simd::set_active(level);
             let mut exact = FastBackend::with_threads(1).prepare(&model).unwrap();
             let mut cached = FastBackend::with_threads(1)
-                .with_approx(ApproxPolicy::Cached { capacity: 3 })
+                .with_cache(NonZeroUsize::new(3).unwrap())
                 .prepare(&model)
                 .unwrap();
             for &i in &stream {
@@ -2568,16 +2188,16 @@ mod tests {
                 assert_eq!(c.distances, e.distances, "{level:?} window {i}");
                 assert_eq!(c.query, e.query, "{level:?} window {i}");
             }
-            let monitor = cached.approx_monitor().unwrap();
+            let monitor = cached.cache_monitor().unwrap();
             assert!(monitor.hits() > 0, "{level:?}: the stream repeats");
             assert!(monitor.evictions() > 0, "{level:?}: capacity 3 < 6 uniques");
         }
         Simd::set_active(Simd::detect());
     }
 
-    /// One-prototype sessions silently fall back to the full scan: the
-    /// degenerate case where pruning (and threshold acceptance) have
-    /// nothing to skip, so a one-class model's verdicts stay exact.
+    /// One-prototype sessions (a detector that only scores the distance
+    /// to one learned pattern) return the exact full-scan verdict, with
+    /// or without the query cache: class 0 and the true distance.
     #[test]
     fn single_prototype_sessions_scan_full_whatever_the_policy() {
         let params = AccelParams {
@@ -2587,17 +2207,19 @@ mod tests {
         };
         let model = HdModel::random(&params, 29);
         let windows = random_windows(&params, 3, 3, 31);
-        let mut full = FastBackend::with_threads(1).prepare(&model).unwrap();
-        let expected: Vec<Verdict> = windows.iter().map(|w| full.classify(w).unwrap()).collect();
+        let mut golden = GoldenBackend.prepare(&model).unwrap();
+        let expected: Vec<Verdict> = windows
+            .iter()
+            .map(|w| golden.classify(w).unwrap())
+            .collect();
         for backend in [
-            FastBackend::with_threads(1).with_scan(ScanPolicy::Pruned),
-            FastBackend::with_threads(1).with_approx(ApproxPolicy::Threshold { tau: 0.4 }),
+            FastBackend::with_threads(1),
+            FastBackend::with_threads(1).with_cache(NonZeroUsize::new(2).unwrap()),
         ] {
             let mut session = backend.prepare(&model).unwrap();
             for (w, e) in windows.iter().zip(&expected) {
                 let v = session.classify(w).unwrap();
-                assert_eq!(v, *e, "single-prototype scan must be exact and full");
-                assert_eq!(v.source, VerdictSource::Scan);
+                assert_eq!(v, *e, "{}: single-prototype scan", backend.name());
             }
         }
     }

@@ -24,21 +24,20 @@
 //!   `BENCH_throughput.json` is reported for scale only).
 //! * [`FastBackend`] — a throughput-oriented pure-Rust engine on
 //!   `u64`-packed hypervectors with runtime-dispatched SIMD kernels
-//!   ([`hdc::simd::Simd`]: AVX2/POPCNT when the CPU has them, portable
-//!   unrolled fallback otherwise), a zero-allocation encode hot path
-//!   (per-thread scratch arena + bit-sliced carry-save bundling), and
-//!   batch classification over a persistent session-owned worker pool
-//!   with an adaptive single-thread cutover for small batches. Its
-//!   associative-memory search is selectable via [`ScanPolicy`]: the
-//!   default full scan returns exact distances, the pruned scan
-//!   early-exits prototypes that cannot win (same class, lower-bound
-//!   distances).
+//!   ([`hdc::simd::Simd`]: AVX-512 or AVX2/POPCNT when the CPU has
+//!   them, portable unrolled fallback otherwise), a zero-allocation
+//!   encode hot path (per-thread scratch arena + bit-sliced carry-save
+//!   bundling), and batch classification over a persistent
+//!   session-owned worker pool with an adaptive single-thread cutover
+//!   for small batches. Its associative-memory search is one exact full
+//!   scan; an optional query cache ([`FastBackend::with_cache`])
+//!   replays the scan of a word-identical recent query.
 //!
 //! All three produce identical classes, distances, and query
 //! hypervectors on identical inputs; `tests/determinism.rs` and
 //! `crates/core/tests/prop_equivalence.rs` pin that equivalence on
-//! random EMG windows and random chain shapes (the pruned scan is
-//! additionally pinned to preserve class, query, and winning distance).
+//! random EMG windows and random chain shapes, with and without the
+//! query cache.
 //!
 //! Parallelism lives in one place: the [`FastBackend`] session's flat
 //! worker pool, the host analogue of the paper's one team of cores
@@ -94,7 +93,7 @@ pub mod golden;
 mod pool;
 
 pub use accel::AccelBackend;
-pub use fast::{ApproxMonitor, ApproxPolicy, FastBackend, ScanPolicy};
+pub use fast::{CacheMonitor, FastBackend};
 pub use fault::{FaultBackend, FaultKind, FaultPlan, HangRelease};
 pub use golden::GoldenBackend;
 /// Re-exported so downstream crates (the serve wire codec in
@@ -430,28 +429,23 @@ pub struct CycleBreakdown {
     pub am: u64,
 }
 
-/// How a [`Verdict`] was produced — exact scan, or one of the
-/// approximate shortcuts of [`ApproxPolicy`].
+/// How a [`Verdict`] was produced — a scan of the associative memory,
+/// or a replay from the query cache of [`FastBackend::with_cache`].
 ///
-/// Every exact configuration reports [`Scan`](Self::Scan), so verdict
-/// equality against the golden backend (which only ever scans) is
-/// unaffected by this field. The approximate sources exist for
-/// telemetry: a serving stack can count how much work the approximate
-/// ladder actually skipped, per verdict.
+/// Both carry the same class and distances, so the field exists for
+/// telemetry only: a serving stack can count, per verdict, how many
+/// scans the cache saved. Sessions without a cache always report
+/// [`Scan`](Self::Scan), so their verdicts equal the golden backend's
+/// (which only ever scans) field for field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum VerdictSource {
-    /// The associative memory was scanned (fully or with the exact
-    /// early-exit pruning) and the class is the true arg-min.
+    /// The associative memory was scanned in full and the class is the
+    /// first arg-min.
     #[default]
     Scan,
-    /// The threshold scan of [`ApproxPolicy::Threshold`] accepted a
-    /// prototype within the confidence radius without scanning the
-    /// remaining classes; skipped classes hold [`u32::MAX`] in
-    /// `distances`.
-    EarlyAccept,
-    /// The query-similarity cache of [`ApproxPolicy::Cached`] matched
-    /// the encoded query exactly; `class` and `distances` are replayed
-    /// from the cached scan of the identical query.
+    /// The query cache matched the encoded query word for word; `class`
+    /// and `distances` are replayed from the cached scan of the
+    /// identical query.
     CacheHit,
 }
 
@@ -460,23 +454,15 @@ pub enum VerdictSource {
 pub struct Verdict {
     /// Predicted class (arg-min Hamming distance, first minimum wins).
     pub class: usize,
-    /// Hamming distance to every class prototype, indexed by class.
-    ///
-    /// Exact under every backend configuration except
-    /// [`FastBackend`] with [`ScanPolicy::Pruned`], where the winning
-    /// entry is always exact but non-winning entries may be the partial
-    /// distance at which the early-exit scan abandoned the prototype —
-    /// a lower bound on the true distance that still exceeds the
-    /// winning distance — and the approximate [`ApproxPolicy`] modes,
-    /// whose threshold scan additionally reports [`u32::MAX`] for
-    /// classes it never visited (see [`VerdictSource`]).
+    /// Exact Hamming distance to every class prototype, indexed by
+    /// class, under every backend configuration.
     pub distances: Vec<u32>,
     /// The query hypervector the window encoded to.
     pub query: BinaryHv,
     /// Cycle counts, when the backend simulates hardware time
     /// (`None` for host-native backends).
     pub cycles: Option<CycleBreakdown>,
-    /// Provenance: exact scan, threshold early-accept, or cache replay.
+    /// Provenance: scan or cache replay.
     pub source: VerdictSource,
 }
 
@@ -570,39 +556,6 @@ pub trait ExecutionBackend {
     /// Returns [`BackendError`] if the model cannot be realized on this
     /// backend (shape limits, memory capacity, program generation).
     fn prepare(&self, model: &HdModel) -> Result<Box<dyn BackendSession>, BackendError>;
-
-    /// Loads `model` with an explicit scan and approximation
-    /// configuration — the seam the serving front-end uses to spawn
-    /// servers onto approximate sessions without hand-building them.
-    ///
-    /// The provided implementation supports only the exact default
-    /// (`ScanPolicy::Full` + `ApproxPolicy::Exact`, where it simply
-    /// delegates to [`prepare`](Self::prepare)) and rejects every other
-    /// combination with [`BackendError::Config`] naming the backend —
-    /// an honest failure instead of silently serving exact verdicts
-    /// under an approximate label. [`FastBackend`] overrides it to
-    /// honor both knobs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BackendError::Config`] if this backend cannot honor
-    /// the requested policies, or whatever [`prepare`](Self::prepare)
-    /// returns.
-    fn prepare_tuned(
-        &self,
-        model: &HdModel,
-        scan: ScanPolicy,
-        approx: ApproxPolicy,
-    ) -> Result<Box<dyn BackendSession>, BackendError> {
-        if scan == ScanPolicy::Full && approx == ApproxPolicy::Exact {
-            return self.prepare(model);
-        }
-        Err(BackendError::Config(format!(
-            "backend '{}' supports only ScanPolicy::Full + ApproxPolicy::Exact \
-             (requested {scan:?} + {approx:?})",
-            self.name()
-        )))
-    }
 }
 
 /// A model loaded onto one substrate, ready to classify windows.
@@ -665,14 +618,14 @@ pub trait BackendSession: Send {
     }
 
     /// A cloneable handle onto this session's query-cache counters
-    /// (hits / misses / evictions), when the session runs a caching
-    /// [`ApproxPolicy`]. `None` — the default — means the session has
-    /// no cache and the counters would be forever zero.
+    /// (hits / misses / evictions), when the session has a query cache
+    /// ([`FastBackend::with_cache`]). `None` — the default — means the
+    /// session has no cache and the counters would be forever zero.
     ///
     /// The serving front-end grabs this before moving the session onto
     /// its batcher thread and surfaces the counters through
     /// `ServerStats`.
-    fn approx_monitor(&self) -> Option<ApproxMonitor> {
+    fn cache_monitor(&self) -> Option<CacheMonitor> {
         None
     }
 }

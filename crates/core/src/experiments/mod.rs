@@ -3,8 +3,9 @@
 //! Each submodule exposes a `run()` returning typed rows that pair the
 //! paper's published value with our measured value, plus a `render()`
 //! producing the aligned text table the bench binaries print. The
-//! mapping from experiment to paper artifact is indexed in `DESIGN.md`
-//! §4; measured-vs-paper numbers are recorded in `EXPERIMENTS.md`.
+//! README's "Reproducing the paper" section indexes which binary
+//! regenerates which paper artifact; each prints its measured-vs-paper
+//! numbers side by side.
 //!
 //! Cycle measurements execute the real kernels on the simulated cluster;
 //! accuracy measurements run the golden-model classifier over the

@@ -187,8 +187,7 @@ mod tests {
         let t = run(true).unwrap();
         // HD at 224-D is an order of magnitude cheaper than at 10,016-D
         // and cheaper than the SVM (paper: 2×; our synthetic task yields
-        // a sparser SVM, so the measured gap is smaller — see
-        // EXPERIMENTS.md).
+        // a sparser SVM, so the measured gap is smaller).
         assert!(t.hd.total < 40_000, "HD cycles {}", t.hd.total);
         assert!(
             t.svm_cycles > t.hd.total,

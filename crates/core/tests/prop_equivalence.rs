@@ -13,11 +13,13 @@
 //! in the build environment); each failure is replayable from its case
 //! index.
 
+use std::num::NonZeroUsize;
+
 use hdc::rng::Xoshiro256PlusPlus;
 use hdc::Simd;
 use pulp_hd_core::backend::{
-    AccelBackend, ApproxPolicy, ExecutionBackend, FastBackend, GoldenBackend, HdModel, ScanPolicy,
-    TrainSpec, TrainableBackend, VerdictSource,
+    AccelBackend, ExecutionBackend, FastBackend, GoldenBackend, HdModel, TrainSpec,
+    TrainableBackend, Verdict, VerdictSource,
 };
 use pulp_hd_core::layout::AccelParams;
 use pulp_hd_core::platform::Platform;
@@ -301,73 +303,88 @@ fn training_agrees_across_backends_and_simd_levels() {
     Simd::set_active(Simd::detect());
 }
 
-/// The pruned-scan fast backend preserves everything the early exit can
-/// possibly preserve across random chain shapes: the predicted class
-/// (including first-minimum tie order), the query hypervector, and the
-/// winning distance are identical to the golden backend's; every other
-/// distance entry is a lower bound on the exact distance that never
-/// undercuts the winner.
+/// The query cache is exact: a cached session fed a stream with
+/// repeats matches golden in class, distances and query, through
+/// `classify` and through `classify_batch` (whose pool workers hold
+/// caches of their own), at every SIMD level — and answers some of the
+/// stream from its cache. Only `source` tells a replay from a scan.
+/// One-class models are drawn too.
 #[test]
 #[cfg_attr(
     miri,
     ignore = "heavy cross-backend sweep; the fast backend's handoff tests cover the unsafe handoff"
 )]
-fn pruned_fast_backend_agrees_with_golden_on_class_and_query() {
-    let mut rng = Xoshiro256PlusPlus::seed_from_u64(0x5CA4_EE17);
-    for case in 0..12 {
-        let params = AccelParams {
-            n_words: 1 + rng.next_below(24) as usize,
-            channels: 1 + rng.next_below(8) as usize,
-            ngram: 1 + rng.next_below(4) as usize,
-            classes: 2 + rng.next_below(6) as usize,
-            levels: 2 + rng.next_below(28) as usize,
-        };
-        let model = HdModel::random(&params, rng.next_u64());
-        let samples = params.ngram + rng.next_below(5) as usize;
-        let windows: Vec<Vec<Vec<u16>>> = (0..9)
-            .map(|_| {
-                (0..samples)
-                    .map(|_| {
-                        (0..params.channels)
-                            .map(|_| (rng.next_u32() & 0xffff) as u16)
-                            .collect()
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut golden = GoldenBackend.prepare(&model).unwrap();
-        let mut pruned = FastBackend::with_threads(4)
-            .with_scan(ScanPolicy::Pruned)
-            .prepare(&model)
-            .unwrap();
-        let expected = golden.classify_batch(&windows).unwrap();
-        let got = pruned.classify_batch(&windows).unwrap();
-        for (i, (p, g)) in got.iter().zip(&expected).enumerate() {
-            let ctx = format!("case {case} window {i} with {params:?}");
-            assert_eq!(p.class, g.class, "{ctx}: class diverged");
-            assert_eq!(p.query, g.query, "{ctx}: query diverged");
-            assert_eq!(
-                p.distances[p.class], g.distances[g.class],
-                "{ctx}: winning distance must be exact"
-            );
-            for (k, (&pd, &gd)) in p.distances.iter().zip(&g.distances).enumerate() {
-                assert!(pd <= gd, "{ctx}: class {k} distance is not a lower bound");
+fn cached_fast_backend_matches_golden_under_every_level() {
+    let backend = FastBackend::with_threads(2).with_cache(NonZeroUsize::new(4).unwrap());
+    for level in Simd::available() {
+        Simd::set_active(level);
+        let mut rng = Xoshiro256PlusPlus::seed_from_u64(0xCAC4_E5EE);
+        for case in 0..8 {
+            let params = AccelParams {
+                n_words: 1 + rng.next_below(24) as usize,
+                channels: 1 + rng.next_below(8) as usize,
+                ngram: 1 + rng.next_below(4) as usize,
+                classes: 1 + rng.next_below(8) as usize,
+                levels: 2 + rng.next_below(28) as usize,
+            };
+            let model = HdModel::random(&params, rng.next_u64());
+            let samples = params.ngram + rng.next_below(5) as usize;
+            let pool: Vec<Vec<Vec<u16>>> = (0..6)
+                .map(|_| {
+                    (0..samples)
+                        .map(|_| {
+                            (0..params.channels)
+                                .map(|_| (rng.next_u32() & 0xffff) as u16)
+                                .collect()
+                        })
+                        .collect()
+                })
+                .collect();
+            // 48 draws from a 6-window pool: the stream repeats itself,
+            // and 6 pool windows overflow the 4-entry caches.
+            let stream: Vec<Vec<Vec<u16>>> = (0..48)
+                .map(|_| pool[rng.next_below(6) as usize].clone())
+                .collect();
+            let expected = GoldenBackend
+                .prepare(&model)
+                .unwrap()
+                .classify_batch(&stream)
+                .unwrap();
+            let mut single = backend.prepare(&model).unwrap();
+            let one: Vec<Verdict> = stream.iter().map(|w| single.classify(w).unwrap()).collect();
+            let mut batched = backend.prepare(&model).unwrap();
+            let batch = batched.classify_batch(&stream).unwrap();
+            for (path, got, session) in [
+                ("classify", one, single),
+                ("classify_batch", batch, batched),
+            ] {
+                let ctx = format!("{level:?} case {case} {path} with {params:?}");
+                for (i, (v, g)) in got.iter().zip(&expected).enumerate() {
+                    assert_eq!(v.class, g.class, "{ctx} window {i}: class");
+                    assert_eq!(v.distances, g.distances, "{ctx} window {i}: distances");
+                    assert_eq!(v.query, g.query, "{ctx} window {i}: query");
+                }
+                let hits = got
+                    .iter()
+                    .filter(|v| v.source == VerdictSource::CacheHit)
+                    .count() as u64;
                 assert!(
-                    k == p.class || pd >= g.distances[g.class],
-                    "{ctx}: class {k} undercuts the winner"
+                    hits > 0,
+                    "{ctx}: the stream repeats, so some window must hit"
                 );
+                let monitor = session.cache_monitor().unwrap();
+                assert_eq!(monitor.hits(), hits, "{ctx}");
+                assert_eq!(monitor.hits() + monitor.misses(), 48, "{ctx}");
             }
         }
     }
+    Simd::set_active(Simd::detect());
 }
 
-/// `ApproxPolicy::Exact` is not "approximately exact": whether left as
-/// the default or configured explicitly, an Exact fast session stays
-/// bit-identical to the golden backend — every distance, the query, the
-/// class, and the `Scan` verdict source — through both `classify` and
+/// The default fast session is exact: it stays bit-identical to the
+/// golden backend — every distance, the query, the class, and the
+/// `Scan` verdict source — through both `classify` and
 /// `classify_batch`, across random chain shapes and every SIMD level.
-/// This is the regression fence the approximate-inference ladder is
-/// built behind.
 #[test]
 #[cfg_attr(
     miri,
@@ -400,23 +417,16 @@ fn exact_policy_stays_bit_identical_to_golden_across_simd_levels() {
                 .collect();
             let mut golden = GoldenBackend.prepare(&model).unwrap();
             let expected = golden.classify_batch(&windows).unwrap();
-            // Default construction and an explicit Exact must behave the
-            // same — there is exactly one exact path.
-            for backend in [
-                FastBackend::with_threads(2),
-                FastBackend::with_threads(2).with_approx(ApproxPolicy::Exact),
-            ] {
-                let mut session = backend.prepare(&model).unwrap();
-                let got = session.classify_batch(&windows).unwrap();
-                assert_eq!(got, expected, "{level:?} case {case} with {params:?}");
-                for (i, w) in windows.iter().enumerate() {
-                    let one = session.classify(w).unwrap();
-                    assert_eq!(
-                        one, expected[i],
-                        "{level:?} case {case} window {i} (single-window path)"
-                    );
-                    assert_eq!(one.source, VerdictSource::Scan);
-                }
+            let mut session = FastBackend::with_threads(2).prepare(&model).unwrap();
+            let got = session.classify_batch(&windows).unwrap();
+            assert_eq!(got, expected, "{level:?} case {case} with {params:?}");
+            for (i, w) in windows.iter().enumerate() {
+                let one = session.classify(w).unwrap();
+                assert_eq!(
+                    one, expected[i],
+                    "{level:?} case {case} window {i} (single-window path)"
+                );
+                assert_eq!(one.source, VerdictSource::Scan);
             }
         }
         // Every window length the vote tree depends on, tie-heavy
@@ -448,9 +458,9 @@ fn exact_policy_stays_bit_identical_to_golden_across_simd_levels() {
     Simd::set_active(Simd::detect());
 }
 
-/// Exact policy also holds bit-identity through the serving hand-off:
-/// a trained fast session deployed with `into_serving` keeps agreeing
-/// with golden when the backend was explicitly configured Exact.
+/// The default session also holds bit-identity through the serving
+/// hand-off: a trained fast session deployed with `into_serving` keeps
+/// agreeing with golden.
 #[test]
 #[cfg_attr(
     miri,
@@ -483,10 +493,7 @@ fn exact_policy_survives_the_training_handoff() {
             .map(|_| rng.next_below(params.classes as u32) as usize)
             .collect();
         let mut golden = GoldenBackend.begin_training(&spec).unwrap();
-        let mut fast = FastBackend::with_threads(2)
-            .with_approx(ApproxPolicy::Exact)
-            .begin_training(&spec)
-            .unwrap();
+        let mut fast = FastBackend::with_threads(2).begin_training(&spec).unwrap();
         golden.train_batch(&windows, &labels).unwrap();
         fast.train_batch(&windows, &labels).unwrap();
         let mut g_serve = golden.into_serving().unwrap();

@@ -1,9 +1,8 @@
 //! Synthetic surface-EMG generation.
 //!
 //! Stands in for the recorded 5-subject dataset of Rahimi et al. (2016)
-//! that the paper evaluates on (see `DESIGN.md` §2 for the substitution
-//! argument). The generative model keeps the properties the classifiers
-//! actually exploit:
+//! that the paper evaluates on. The generative model keeps the
+//! properties the classifiers actually exploit:
 //!
 //! * each gesture is a distinct *spatial pattern* of muscle activation
 //!   across the forearm channels (what the spatial encoder keys on),

@@ -223,77 +223,6 @@ impl AssociativeMemory {
         Classification { class, distances }
     }
 
-    /// Nearest-prototype classification with an exact early-exit
-    /// ("pruned") scan: a prototype's word loop is abandoned as soon as
-    /// its partial Hamming distance exceeds the running minimum at a
-    /// 512-bit block boundary.
-    ///
-    /// The returned class is **always** identical to
-    /// [`classify_finalized`](Self::classify_finalized) — an abandoned
-    /// prototype's true distance strictly exceeds the final minimum, so
-    /// neither the arg-min nor its first-minimum tie order can change.
-    /// The [`distances`](Classification::distances) entries follow the
-    /// pruned-scan semantics (the word-packed twin is
-    /// `hdc::hv64::scan_pruned_into`): exact for every fully scanned
-    /// prototype — always including the winner — and otherwise the
-    /// partial distance at the abandonment point, a lower bound on the
-    /// true distance that still exceeds the winning distance.
-    ///
-    /// Abandonment points sit at the same 512-bit boundaries on both
-    /// representations, so the reported distances equal
-    /// `hdc::hv64::scan_pruned_into`'s entry for entry regardless of
-    /// packing or SIMD level.
-    ///
-    /// # Panics
-    ///
-    /// Panics if widths differ, or (in debug builds) if any prototype is
-    /// stale.
-    #[must_use]
-    pub fn classify_pruned(&self, query: &BinaryHv) -> Classification {
-        debug_assert!(
-            self.stale.iter().all(|&s| !s),
-            "classify_pruned called with stale prototypes"
-        );
-        // 16 u32 words = 512 bits, the block size of the packed scan.
-        const BLOCK_WORDS32: usize = 16;
-        let mut best = u32::MAX;
-        let mut best_class = 0usize;
-        let mut distances = Vec::with_capacity(self.prototypes.len());
-        for (class, p) in self.prototypes.iter().enumerate() {
-            assert_eq!(
-                p.n_words(),
-                query.n_words(),
-                "prototype width mismatch: expected {} words, got {}",
-                p.n_words(),
-                query.n_words()
-            );
-            let mut d = 0u32;
-            for (pa, qa) in p
-                .words()
-                .chunks(BLOCK_WORDS32)
-                .zip(query.words().chunks(BLOCK_WORDS32))
-            {
-                d += pa
-                    .iter()
-                    .zip(qa)
-                    .map(|(a, b)| (a ^ b).count_ones())
-                    .sum::<u32>();
-                if d > best {
-                    break;
-                }
-            }
-            if d < best {
-                best = d;
-                best_class = class;
-            }
-            distances.push(d);
-        }
-        Classification {
-            class: best_class,
-            distances,
-        }
-    }
-
     /// Online update: adds `query` to `class` and re-thresholds only
     /// that prototype **incrementally** — the prototype is updated in
     /// place, touching only words whose majority actually crossed the
@@ -467,74 +396,5 @@ mod tests {
     fn set_prototype_width_mismatch_panics() {
         let mut am = AssociativeMemory::new(2, 8, 0);
         am.set_prototype(0, BinaryHv::zeros(9));
-    }
-
-    #[test]
-    fn pruned_classification_matches_full_scan_class() {
-        let (mut am, centers) = trained_am();
-        am.finalize();
-        for (i, center) in centers.iter().enumerate() {
-            for seed in 0..8 {
-                let query = center.with_bit_flips(1500 + 300 * seed as usize, seed);
-                let full = am.classify_finalized(&query);
-                let pruned = am.classify_pruned(&query);
-                assert_eq!(pruned.class(), full.class(), "center {i}, seed {seed}");
-                assert_eq!(
-                    pruned.distance(),
-                    full.distance(),
-                    "center {i}, seed {seed}: winning distance must be exact"
-                );
-                for (k, (&p, &f)) in pruned.distances().iter().zip(full.distances()).enumerate() {
-                    assert!(p <= f, "center {i}, class {k}: lower bound");
-                    assert!(
-                        k == pruned.class() || p >= full.distance(),
-                        "center {i}, class {k}: cannot undercut the winner"
-                    );
-                }
-            }
-        }
-    }
-
-    /// The `u32` pruned scan and the `u64`-packed pruned scan abandon
-    /// prototypes at the same 512-bit block boundaries, so their
-    /// distance vectors agree entry for entry — not just in class.
-    #[test]
-    fn pruned_distances_match_the_packed_scan_exactly() {
-        use crate::hv64::{scan_pruned_into, Hv64};
-        let (mut am, centers) = trained_am();
-        am.finalize();
-        let packed: Vec<Hv64> = (0..am.n_classes())
-            .map(|class| Hv64::from_binary(am.prototype(class)))
-            .collect();
-        let mut packed_distances = Vec::new();
-        for (i, center) in centers.iter().enumerate() {
-            for seed in 0..6 {
-                let query = center.with_bit_flips(1200 + 250 * seed as usize, seed);
-                let scalar = am.classify_pruned(&query);
-                let class =
-                    scan_pruned_into(&packed, &Hv64::from_binary(&query), &mut packed_distances);
-                assert_eq!(scalar.class(), class, "center {i}, seed {seed}");
-                assert_eq!(
-                    scalar.distances(),
-                    &packed_distances[..],
-                    "center {i}, seed {seed}: distances must match block for block"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn pruned_classification_breaks_ties_toward_lowest_class() {
-        let mut am = AssociativeMemory::new(4, 4, 0);
-        let p = BinaryHv::random(4, 1);
-        for class in 0..4 {
-            am.set_prototype(class, p.clone());
-        }
-        let probe = BinaryHv::random(4, 2);
-        assert_eq!(am.classify_pruned(&probe).class(), 0);
-        assert_eq!(
-            am.classify_pruned(&probe).distance(),
-            am.classify_finalized(&probe).distance()
-        );
     }
 }

@@ -4,7 +4,7 @@
 //! `u32` word, exactly as the PULP-HD C implementation does. The paper's
 //! "10,000-dimensional" vectors therefore occupy 313 words and effectively
 //! live in a 10,016-dimensional space (the padding bits participate in all
-//! operations, matching the released code — see `DESIGN.md` §2).
+//! operations, matching the released code).
 //!
 //! Component `i` is bit `i % 32` of word `i / 32`.
 

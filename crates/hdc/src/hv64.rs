@@ -18,15 +18,15 @@
 //! loop is made of: in-place ops ([`Hv64::xor_assign`],
 //! [`Hv64::rotate_into`], the fused bind-rotate [`Hv64::xor_rotated`]),
 //! the streaming word-parallel majority accumulator
-//! [`BitslicedBundler`], the early-exit associative-memory scan
-//! [`scan_pruned_into`], and its approximate sibling
-//! [`scan_threshold_into`] (accept-first-below-τ).
+//! [`BitslicedBundler`], and the training counters [`CounterBundler`].
+//! The associative-memory scan is one exact [`Hv64::hamming`] per
+//! prototype.
 //!
 //! Every word loop of those building blocks executes through the
-//! runtime-dispatched kernel layer in [`crate::simd`]: an AVX2/POPCNT
-//! specialization when the CPU has it, a portable unrolled fallback
-//! otherwise, both bit-identical (see the `simd` module docs for the
-//! dispatch and override rules).
+//! runtime-dispatched kernel layer in [`crate::simd`]: AVX-512 or
+//! AVX2/POPCNT specializations when the CPU has them, a portable
+//! unrolled fallback otherwise, all bit-identical (see the `simd`
+//! module docs for the dispatch and override rules).
 //!
 //! [`FastBackend`]: ../../pulp_hd_core/backend/fast/index.html
 //! (in-repo: `crates/core/src/backend/fast.rs`)
@@ -965,172 +965,6 @@ impl CounterBundler {
     }
 }
 
-/// Exact nearest-prototype search with early exit, writing per-class
-/// distances into a caller-owned buffer and returning the winning class.
-///
-/// The scan tracks the running best distance and abandons a prototype's
-/// word loop as soon as its partial Hamming distance exceeds the current
-/// minimum — an abandoned prototype can never win, so the **class is
-/// always identical to a full scan's** (including first-minimum tie
-/// order, because a pruned prototype's true distance is strictly greater
-/// than the final minimum).
-///
-/// The `distances` entries trade exactness for the skipped work: entry
-/// `k` is the exact Hamming distance whenever prototype `k` was fully
-/// scanned — always true for the winner and for every prototype whose
-/// distance ties or beats the running minimum — and otherwise the
-/// partial distance at the abandonment point, which is simultaneously a
-/// lower bound on the true distance and strictly greater than the
-/// winning distance. Ordering queries ("is `k` the argmin", margins
-/// above the winner) therefore resolve the same way as on exact
-/// distances.
-///
-/// Abandonment happens at fixed
-/// [`SCAN_BLOCK_WORDS64`](crate::simd::SCAN_BLOCK_WORDS64)-word
-/// (512-bit) block boundaries, identically on every
-/// [`Simd`](crate::simd::Simd) level, so the reported partial distances
-/// never depend on the CPU the scan ran on (and equal
-/// [`crate::AssociativeMemory::classify_pruned`]'s, which abandons at
-/// the same bit positions on the `u32`-packed representation).
-///
-/// # Panics
-///
-/// Panics if `prototypes` is empty or any width differs from the
-/// query's.
-///
-/// # Examples
-///
-/// ```
-/// use hdc::hv64::{scan_pruned_into, Hv64};
-/// use hdc::BinaryHv;
-///
-/// let prototypes: Vec<Hv64> = (0..5)
-///     .map(|s| Hv64::from_binary(&BinaryHv::random(313, s)))
-///     .collect();
-/// let query = prototypes[3].clone();
-/// let mut distances = Vec::new();
-/// let class = scan_pruned_into(&prototypes, &query, &mut distances);
-/// assert_eq!(class, 3);
-/// assert_eq!(distances[3], 0);
-/// ```
-pub fn scan_pruned_into(prototypes: &[Hv64], query: &Hv64, distances: &mut Vec<u32>) -> usize {
-    assert!(
-        !prototypes.is_empty(),
-        "associative-memory scan needs at least one prototype"
-    );
-    distances.clear();
-    let simd = Simd::active();
-    let mut best = u32::MAX;
-    let mut best_class = 0usize;
-    for (class, p) in prototypes.iter().enumerate() {
-        assert_eq!(
-            p.n_words32, query.n_words32,
-            "prototype width mismatch: {} vs {} u32 words",
-            p.n_words32, query.n_words32
-        );
-        let d = simd.hamming_bounded(&p.words, &query.words, best);
-        if d < best {
-            best = d;
-            best_class = class;
-        }
-        distances.push(d);
-    }
-    best_class
-}
-
-/// **Approximate** nearest-prototype search with threshold early
-/// termination: accepts the first prototype whose distance is provably
-/// `<= accept`, skipping the remaining classes entirely.
-///
-/// This is the accuracy-for-speed rung of the scan ladder. Prototypes
-/// are visited in order; each is scanned with the two-sided
-/// [`Simd::hamming_threshold`] kernel, which abandons a prototype that
-/// can no longer win (partial distance above the running best, exactly
-/// like [`scan_pruned_into`]) *and* stops early once the partial
-/// distance plus the maximum contribution of the unscanned words is
-/// within `accept` — at which point the prototype is declared the
-/// winner without scanning the rest of the associative memory.
-///
-/// The loop maintains `best > accept` as its invariant: it returns the
-/// moment a scanned prototype lands at or below `accept`, so an
-/// abandoned prototype (partial `> best > accept`) can never be
-/// mistaken for an accepted one, and an accepted prototype's true
-/// distance (`<= accept < best`) always beats every class scanned
-/// before it. When *no* prototype meets the threshold the scan
-/// degenerates to the exact pruned scan and returns the true argmin —
-/// `accept = 0` makes this function behave identically to
-/// [`scan_pruned_into`] on distinct prototypes.
-///
-/// `distances` is filled for every class: visited classes record their
-/// (possibly partial, see [`scan_pruned_into`]) distances — the
-/// accepted class's entry is the partial sum at the acceptance
-/// boundary, a lower bound on its true distance that is still `<=
-/// accept` — and classes skipped by an acceptance record the
-/// [`u32::MAX`] sentinel, making skipped work visible to telemetry.
-///
-/// Returns `(class, accepted)` where `accepted` says whether the scan
-/// exited through the threshold (false means the result is exact).
-///
-/// # Panics
-///
-/// Panics if `prototypes` is empty or any width differs from the
-/// query's.
-///
-/// # Examples
-///
-/// ```
-/// use hdc::hv64::{scan_threshold_into, Hv64};
-/// use hdc::BinaryHv;
-///
-/// let prototypes: Vec<Hv64> = (0..5)
-///     .map(|s| Hv64::from_binary(&BinaryHv::random(313, s)))
-///     .collect();
-/// let query = prototypes[2].clone();
-/// let mut distances = Vec::new();
-/// // Random 313-u32-word vectors sit ~5000 bits apart; a 1000-bit
-/// // acceptance radius catches only the exact-match prototype.
-/// let (class, accepted) = scan_threshold_into(&prototypes, &query, 1000, &mut distances);
-/// assert_eq!((class, accepted), (2, true));
-/// assert!(distances[2] <= 1000);
-/// assert_eq!(distances[3], u32::MAX); // skipped, never scanned
-/// ```
-pub fn scan_threshold_into(
-    prototypes: &[Hv64],
-    query: &Hv64,
-    accept: u32,
-    distances: &mut Vec<u32>,
-) -> (usize, bool) {
-    assert!(
-        !prototypes.is_empty(),
-        "associative-memory scan needs at least one prototype"
-    );
-    distances.clear();
-    let simd = Simd::active();
-    let mut best = u32::MAX;
-    let mut best_class = 0usize;
-    for (class, p) in prototypes.iter().enumerate() {
-        assert_eq!(
-            p.n_words32, query.n_words32,
-            "prototype width mismatch: {} vs {} u32 words",
-            p.n_words32, query.n_words32
-        );
-        // Invariant: `best > accept` here (the loop exits below the
-        // moment that stops holding), so `prune = best` keeps the two
-        // kernel exits disjoint.
-        let d = simd.hamming_threshold(&p.words, &query.words, best, accept);
-        distances.push(d);
-        if d <= accept {
-            distances.resize(prototypes.len(), u32::MAX);
-            return (class, true);
-        }
-        if d < best {
-            best = d;
-            best_class = class;
-        }
-    }
-    (best_class, false)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1587,154 +1421,5 @@ mod tests {
     fn counter_bundler_add_width_mismatch_panics() {
         let mut b = CounterBundler::new(2);
         b.add(&Hv64::zeros(3));
-    }
-
-    #[test]
-    fn pruned_scan_class_matches_full_scan() {
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(0x5CAD);
-        for case in 0..64 {
-            let n_words32 = 1 + (rng.next_below(20) as usize);
-            let classes = 1 + (rng.next_below(8) as usize);
-            let prototypes: Vec<Hv64> = (0..classes)
-                .map(|_| Hv64::from_binary(&BinaryHv::random(n_words32, rng.next_u64())))
-                .collect();
-            let query = Hv64::from_binary(&BinaryHv::random(n_words32, rng.next_u64()));
-            let full: Vec<u32> = prototypes.iter().map(|p| p.hamming(&query)).collect();
-            let expected = full
-                .iter()
-                .enumerate()
-                .min_by_key(|&(_, &d)| d)
-                .map(|(i, _)| i)
-                .unwrap();
-            let mut distances = Vec::new();
-            let class = scan_pruned_into(&prototypes, &query, &mut distances);
-            assert_eq!(class, expected, "case {case}");
-            assert_eq!(distances[class], full[class], "case {case}: winner exact");
-            for (k, (&pruned, &exact)) in distances.iter().zip(&full).enumerate() {
-                assert!(pruned <= exact, "case {case}, class {k}: lower bound");
-                if k != class {
-                    assert!(
-                        pruned >= full[class],
-                        "case {case}, class {k}: non-winner cannot undercut the minimum"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn pruned_scan_breaks_exact_ties_like_full_scan() {
-        // All prototypes identical: every distance ties, and the first
-        // minimum must win, exactly as the kernel's strict-less search.
-        let p = Hv64::from_binary(&BinaryHv::random(5, 9));
-        let prototypes = vec![p.clone(), p.clone(), p.clone()];
-        let query = Hv64::from_binary(&BinaryHv::random(5, 10));
-        let mut distances = Vec::new();
-        assert_eq!(scan_pruned_into(&prototypes, &query, &mut distances), 0);
-        let exact = p.hamming(&query);
-        assert_eq!(distances[0], exact, "first prototype is fully scanned");
-    }
-
-    /// With `accept = 0` (and distinct prototypes) the threshold scan
-    /// never accepts early, so it must agree with the exact pruned scan
-    /// on class *and* distances across random shapes.
-    #[test]
-    fn threshold_scan_with_zero_accept_matches_pruned_scan() {
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(0x7A11);
-        for case in 0..64 {
-            let n_words32 = 1 + (rng.next_below(20) as usize);
-            let classes = 1 + (rng.next_below(8) as usize);
-            let prototypes: Vec<Hv64> = (0..classes)
-                .map(|_| Hv64::from_binary(&BinaryHv::random(n_words32, rng.next_u64())))
-                .collect();
-            let query = Hv64::from_binary(&BinaryHv::random(n_words32, rng.next_u64()));
-            let mut pruned = Vec::new();
-            let expected = scan_pruned_into(&prototypes, &query, &mut pruned);
-            let mut thresholded = Vec::new();
-            let (class, accepted) = scan_threshold_into(&prototypes, &query, 0, &mut thresholded);
-            if accepted {
-                // Only an exact duplicate of the query can be accepted
-                // at radius zero.
-                assert_eq!(thresholded[class], 0, "case {case}");
-                assert_eq!(prototypes[class], query, "case {case}");
-                assert_eq!(class, expected, "case {case}");
-            } else {
-                assert_eq!(class, expected, "case {case}");
-                assert_eq!(thresholded, pruned, "case {case}");
-            }
-        }
-    }
-
-    /// An acceptance exit always returns a class whose *true* distance
-    /// is within the radius, skipped classes carry the sentinel, and
-    /// the accepted class is the first such class in scan order.
-    #[test]
-    fn threshold_scan_accepts_first_class_within_radius() {
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(0xACC3);
-        for case in 0..64 {
-            let n_words32 = 1 + (rng.next_below(20) as usize);
-            let classes = 2 + (rng.next_below(7) as usize);
-            let mut prototypes: Vec<Hv64> = (0..classes)
-                .map(|_| Hv64::from_binary(&BinaryHv::random(n_words32, rng.next_u64())))
-                .collect();
-            // Plant a near-duplicate of the query mid-scan.
-            let query = Hv64::from_binary(&BinaryHv::random(n_words32, rng.next_u64()));
-            let planted = rng.next_below(classes as u32) as usize;
-            prototypes[planted] = query.clone();
-            let accept = 4 + rng.next_below(n_words32 as u32 * 8);
-            let mut distances = Vec::new();
-            let (class, accepted) =
-                scan_threshold_into(&prototypes, &query, accept, &mut distances);
-            assert!(accepted, "case {case}: planted duplicate must be accepted");
-            assert!(
-                prototypes[class].hamming(&query) <= accept,
-                "case {case}: accepted class within radius"
-            );
-            assert!(distances[class] <= accept, "case {case}");
-            // First-acceptable-in-order: nobody before `class` is
-            // within the radius.
-            for (k, earlier) in prototypes.iter().enumerate().take(class) {
-                assert!(
-                    earlier.hamming(&query) > accept,
-                    "case {case}, class {k}: earlier class inside radius was skipped"
-                );
-            }
-            for (k, &d) in distances.iter().enumerate().skip(class + 1) {
-                assert_eq!(d, u32::MAX, "case {case}, class {k}: sentinel");
-            }
-            assert_eq!(distances.len(), classes, "case {case}");
-        }
-    }
-
-    /// Every SIMD level produces identical threshold-scan results
-    /// (classes, acceptance flags, and every partial distance).
-    #[test]
-    fn threshold_scan_is_level_independent() {
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(0x1E7E);
-        let before = Simd::active();
-        for case in 0..32 {
-            let n_words32 = 1 + (rng.next_below(20) as usize);
-            let classes = 1 + (rng.next_below(8) as usize);
-            let mut prototypes: Vec<Hv64> = (0..classes)
-                .map(|_| Hv64::from_binary(&BinaryHv::random(n_words32, rng.next_u64())))
-                .collect();
-            let query = Hv64::from_binary(&BinaryHv::random(n_words32, rng.next_u64()));
-            if case % 2 == 0 {
-                let planted = rng.next_below(classes as u32) as usize;
-                prototypes[planted] = query.clone();
-            }
-            let accept = rng.next_below(n_words32 as u32 * 16);
-            let mut results = Vec::new();
-            for level in Simd::available() {
-                Simd::set_active(level);
-                let mut distances = Vec::new();
-                let out = scan_threshold_into(&prototypes, &query, accept, &mut distances);
-                results.push((out, distances));
-            }
-            Simd::set_active(before);
-            for pair in results.windows(2) {
-                assert_eq!(pair[0], pair[1], "case {case}");
-            }
-        }
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Every throughput-critical word loop of [`crate::hv64`] — XOR-bind,
 //! the fused bind-rotate, the carry-save majority networks, and the
-//! popcount Hamming distance / early-exit associative-memory scan —
-//! lives here at three levels:
+//! popcount Hamming distance of the associative-memory scan — lives
+//! here at three levels:
 //!
 //! * an **AVX2/POPCNT** specialization (`unsafe fn` +
 //!   `#[target_feature]`, 256-bit lanes, `vpshufb` nibble popcount),
@@ -72,9 +72,10 @@
 use core::mem::MaybeUninit;
 use core::sync::atomic::{AtomicU8, Ordering};
 
-/// Output words per early-exit check of the bounded Hamming scan
-/// (512 bits). Every level abandons prototypes at identical block
-/// boundaries, so pruned-scan distances never depend on the CPU.
+/// Output words per early-exit check of [`Simd::hamming_bounded`] and
+/// [`Simd::hamming_threshold`] (512 bits). Every level stops at
+/// identical block boundaries, so their partial sums never depend on
+/// the CPU.
 pub const SCAN_BLOCK_WORDS64: usize = 8;
 
 /// Most counter planes of the in-register vote counter: votes up to
@@ -486,6 +487,11 @@ impl Simd {
     /// exact distance). Every level abandons at identical block
     /// boundaries, so the returned partial is level-independent.
     ///
+    /// No scan calls it: the AM scan is one exact [`Simd::hamming`] per
+    /// prototype. It stays only for perfbench's per-layer rows and the
+    /// `audit fuzz` family until it is deleted together with those
+    /// benchmark rows.
+    ///
     /// # Panics
     ///
     /// Panics if the slices differ in length.
@@ -506,9 +512,9 @@ impl Simd {
         }
     }
 
-    /// Two-sided early-exit Hamming distance for the approximate
-    /// threshold AM scan. Accumulates in [`SCAN_BLOCK_WORDS64`]-word
-    /// blocks and stops at the first block boundary where either
+    /// Two-sided early-exit Hamming distance. Accumulates in
+    /// [`SCAN_BLOCK_WORDS64`]-word blocks and stops at the first block
+    /// boundary where either
     ///
     /// * the partial sum exceeds `prune` (this prototype can no longer
     ///   win — same abandonment rule as [`Simd::hamming_bounded`]), or
@@ -522,6 +528,9 @@ impl Simd {
     /// exact distance if neither side fired. Every level evaluates the
     /// two checks in the same order at identical block boundaries, so
     /// the result is level-independent.
+    ///
+    /// No scan calls it, as for [`Simd::hamming_bounded`]: it stays only
+    /// for perfbench's per-layer rows and the `audit fuzz` family.
     ///
     /// # Panics
     ///

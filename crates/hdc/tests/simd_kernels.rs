@@ -19,11 +19,9 @@
 
 use hdc::bundle::majority_paper;
 use hdc::encoder::ngram;
-use hdc::hv64::{
-    majority_paper64, ngram64, scan_pruned_into, BitslicedBundler, CounterBundler, Hv64,
-};
+use hdc::hv64::{majority_paper64, ngram64, BitslicedBundler, CounterBundler, Hv64};
 use hdc::rng::Xoshiro256PlusPlus;
-use hdc::{BinaryHv, Bundler, Simd, TieBreak};
+use hdc::{AssociativeMemory, BinaryHv, Bundler, Simd, TieBreak};
 
 // Miri runs ~3 orders of magnitude slower than native code; shrink the
 // drawn-case budget (but keep most directed widths) under the
@@ -158,6 +156,10 @@ fn ngram_encoding_matches_golden_under_every_level() {
     });
 }
 
+/// The AM scan — one exact `Hv64::hamming` per prototype, first
+/// minimum wins — matches the golden associative memory's distances
+/// and class under every level. Every other case duplicates prototype
+/// 0 into the last slot, so exact ties test the first-minimum order.
 #[test]
 fn distance_scans_match_golden_under_every_level() {
     for_each_level(|level| {
@@ -165,36 +167,35 @@ fn distance_scans_match_golden_under_every_level() {
         for case in 0..CASES {
             let n_words32 = 1 + rng.next_below(24) as usize;
             let classes = 1 + rng.next_below(8) as usize;
-            let hvs: Vec<BinaryHv> = (0..classes)
+            let mut hvs: Vec<BinaryHv> = (0..classes)
                 .map(|_| BinaryHv::random(n_words32, rng.next_u64()))
                 .collect();
-            let prototypes: Vec<Hv64> = hvs.iter().map(Hv64::from_binary).collect();
+            if case % 2 == 0 {
+                hvs[classes - 1] = hvs[0].clone();
+            }
+            let mut am = AssociativeMemory::new(classes, n_words32, 0);
+            for (class, hv) in hvs.iter().enumerate() {
+                am.set_prototype(class, hv.clone());
+            }
             let query32 = BinaryHv::random(n_words32, rng.next_u64());
+            let golden = am.classify_finalized(&query32);
             let query = Hv64::from_binary(&query32);
-            let full: Vec<u32> = hvs.iter().map(|p| p.hamming(&query32)).collect();
-            let expected_class = full
+            let distances: Vec<u32> = hvs
+                .iter()
+                .map(|p| Hv64::from_binary(p).hamming(&query))
+                .collect();
+            let class = distances
                 .iter()
                 .enumerate()
                 .min_by_key(|&(_, &d)| d)
                 .map(|(i, _)| i)
                 .unwrap();
-            let mut distances = Vec::new();
-            let class = scan_pruned_into(&prototypes, &query, &mut distances);
-            assert_eq!(class, expected_class, "{level:?} case {case}: class");
             assert_eq!(
-                distances[class], full[class],
-                "{level:?} case {case}: winning distance exact"
+                distances,
+                golden.distances(),
+                "{level:?} case {case}: distances"
             );
-            for (k, (&pruned, &exact)) in distances.iter().zip(&full).enumerate() {
-                assert!(
-                    pruned <= exact,
-                    "{level:?} case {case} class {k}: lower bound"
-                );
-                assert!(
-                    k == class || pruned >= full[class],
-                    "{level:?} case {case} class {k}: cannot undercut the winner"
-                );
-            }
+            assert_eq!(class, golden.class(), "{level:?} case {case}: class");
         }
     });
 }
@@ -305,32 +306,4 @@ fn counter_tail_masking_survives_all_ones_inputs_at_odd_widths() {
             }
         }
     });
-}
-
-/// The pruned scan's partial distances are level-independent: the
-/// portable and detected paths abandon at the same 512-bit block
-/// boundaries, so the whole distance vector — not just the class — is
-/// identical across levels.
-#[test]
-fn pruned_scan_distances_are_identical_across_levels() {
-    let mut rng = Xoshiro256PlusPlus::seed_from_u64(0x06);
-    for case in 0..CASES {
-        let n_words32 = 1 + rng.next_below(32) as usize;
-        let classes = 2 + rng.next_below(7) as usize;
-        let prototypes: Vec<Hv64> = (0..classes)
-            .map(|_| Hv64::from_binary(&BinaryHv::random(n_words32, rng.next_u64())))
-            .collect();
-        let query = Hv64::from_binary(&BinaryHv::random(n_words32, rng.next_u64()));
-        let mut reference = Vec::new();
-        Simd::set_active(Simd::Portable);
-        let ref_class = scan_pruned_into(&prototypes, &query, &mut reference);
-        let mut got = Vec::new();
-        for level in Simd::available() {
-            Simd::set_active(level);
-            let class = scan_pruned_into(&prototypes, &query, &mut got);
-            assert_eq!(class, ref_class, "case {case}: {level:?} class");
-            assert_eq!(got, reference, "case {case}: {level:?} distance vector");
-        }
-        Simd::set_active(Simd::detect());
-    }
 }

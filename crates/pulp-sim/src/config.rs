@@ -1,8 +1,8 @@
 //! Core and cluster timing configurations.
 //!
 //! All performance-relevant constants of the simulation live here, so the
-//! calibration targets in `DESIGN.md` §6 map to named numbers rather than
-//! magic values scattered through the execution engine.
+//! calibration targets map to named numbers rather than magic values
+//! scattered through the execution engine.
 //!
 //! Three presets model the paper's platforms:
 //!

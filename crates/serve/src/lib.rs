@@ -93,8 +93,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use pulp_hd_core::backend::{
-    ApproxMonitor, ApproxPolicy, BackendError, BackendSession, ExecutionBackend, HdModel,
-    ScanPolicy, TrainingSession, Verdict,
+    BackendError, BackendSession, CacheMonitor, ExecutionBackend, HdModel, TrainingSession, Verdict,
 };
 
 use stats::Recorder;
@@ -140,21 +139,10 @@ use stats::Recorder;
 ///   its state and serves the retry like any other batch.
 /// * **`retry_backoff`** is slept between those attempts.
 ///
-/// The engine knobs pass straight through to the backend when the
-/// server prepares the session itself ([`Server::spawn`]):
-///
-/// * **`scan`** selects the associative-memory scan strategy
-///   ([`ScanPolicy::Full`] or the pruned early-abandoning scan).
-/// * **`approx`** selects the approximate-inference rung
-///   ([`ApproxPolicy`]): exact (the default, bit-identical to the
-///   golden model), threshold early-exit, query caching, or both.
-///   A caching policy also lights up the `cache_*` counters in
-///   [`ServerStats`].
-///
-/// Both are honored via
-/// [`ExecutionBackend::prepare_tuned`](pulp_hd_core::backend::ExecutionBackend::prepare_tuned),
-/// so a backend that cannot realize a non-default knob rejects it at
-/// spawn time instead of silently serving exact results.
+/// Engine options live on the backend, not here: to serve with a query
+/// cache, prepare the session yourself and hand it to
+/// [`Server::from_session`], which also lights up the `cache_*`
+/// counters in [`ServerStats`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeConfig {
     /// Close a batch once it holds this many requests (≥ 1).
@@ -164,14 +152,6 @@ pub struct ServeConfig {
     pub max_delay: Duration,
     /// Bounded submission-queue capacity (≥ 1).
     pub queue_depth: usize,
-    /// Associative-memory scan strategy for sessions the server
-    /// prepares itself ([`Server::spawn`]); ignored by
-    /// [`Server::from_session`], whose session is already built.
-    pub scan: ScanPolicy,
-    /// Approximate-inference policy for sessions the server prepares
-    /// itself ([`Server::spawn`]); ignored by
-    /// [`Server::from_session`], whose session is already built.
-    pub approx: ApproxPolicy,
     /// Server-side deadline per request, measured from submission; a
     /// request whose deadline expires before its batch is served
     /// resolves with [`ServeError::DeadlineExceeded`]. `None` disables
@@ -189,15 +169,12 @@ impl Default for ServeConfig {
     /// `max_batch` 64, `max_delay` 200 µs, `queue_depth` 1024 — sized
     /// so a saturated server forms pool-friendly batches while a lone
     /// caller's worst-case added latency stays well under a millisecond.
-    /// No deadline; two worker-lost retries, 50 µs apart. Full scan,
-    /// exact inference — the bit-identical engine configuration.
+    /// No deadline; two worker-lost retries, 50 µs apart.
     fn default() -> Self {
         Self {
             max_batch: 64,
             max_delay: Duration::from_micros(200),
             queue_depth: 1024,
-            scan: ScanPolicy::Full,
-            approx: ApproxPolicy::Exact,
             deadline: None,
             worker_lost_retries: 2,
             retry_backoff: Duration::from_micros(50),
@@ -325,10 +302,10 @@ pub struct Server {
     tx: SyncSender<Request>,
     shared: Arc<Shared>,
     handle: Option<JoinHandle<()>>,
-    /// Query-cache counters, when the served session was prepared with
-    /// a caching [`ApproxPolicy`] (grabbed from the session before it
-    /// moves onto the batcher thread).
-    approx_monitor: Option<ApproxMonitor>,
+    /// Query-cache counters, when the served session has a query cache
+    /// (grabbed from the session before it moves onto the batcher
+    /// thread).
+    cache_monitor: Option<CacheMonitor>,
 }
 
 impl Server {
@@ -356,7 +333,7 @@ impl Server {
         config: ServeConfig,
     ) -> Result<Self, ServeError> {
         config.validate()?;
-        let session = backend.prepare_tuned(model, config.scan, config.approx)?;
+        let session = backend.prepare(model)?;
         Self::from_session(session, config)
     }
 
@@ -381,7 +358,9 @@ impl Server {
     /// one-shot training:
     /// `Server::from_training(trainer, config)` is covered separately;
     /// use this when the session came from
-    /// [`ExecutionBackend::prepare`] or a custom construction.
+    /// [`ExecutionBackend::prepare`] or a custom construction, such as
+    /// a `FastBackend` with a query cache
+    /// (`Server::from_session(FastBackend::new().with_cache(n).prepare(&model)?, config)`).
     ///
     /// # Errors
     ///
@@ -393,7 +372,7 @@ impl Server {
         config.validate()?;
         // The session is about to move onto the batcher thread — grab
         // its cache telemetry handle (if any) while we still can.
-        let approx_monitor = session.approx_monitor();
+        let cache_monitor = session.cache_monitor();
         let (tx, rx) = sync_channel(config.queue_depth);
         let shared = Arc::new(Shared {
             open: AtomicBool::new(true),
@@ -410,7 +389,7 @@ impl Server {
             tx,
             shared,
             handle: Some(handle),
-            approx_monitor,
+            cache_monitor,
         })
     }
 
@@ -455,16 +434,15 @@ impl Server {
     }
 
     /// A snapshot of the server's telemetry, without stopping traffic.
-    /// When the served session carries a query cache (a caching
-    /// [`ApproxPolicy`]), the snapshot includes its hit/miss/eviction
-    /// counters.
+    /// When the served session carries a query cache, the snapshot
+    /// includes its hit/miss/eviction counters.
     #[must_use]
     pub fn stats(&self) -> ServerStats {
         let mut stats = self.shared.recorder.snapshot(self.shared.started.elapsed());
-        if let Some(approx) = &self.approx_monitor {
-            stats.cache_hits = approx.hits();
-            stats.cache_misses = approx.misses();
-            stats.cache_evictions = approx.evictions();
+        if let Some(cache) = &self.cache_monitor {
+            stats.cache_hits = cache.hits();
+            stats.cache_misses = cache.misses();
+            stats.cache_evictions = cache.evictions();
         }
         stats
     }

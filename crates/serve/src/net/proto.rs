@@ -6,7 +6,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic        0x3144_484E ("NHD1" LE)
-//! 4       1     version      2
+//! 4       1     version      3
 //! 5       1     kind         request/response discriminant
 //! 6       2     reserved     must be 0
 //! 8       8     request_id   echoed verbatim in the response
@@ -30,9 +30,11 @@ use crate::ServerStats;
 /// Frame magic, little-endian `"NHD1"`.
 pub const MAGIC: u32 = 0x3144_484E;
 /// Protocol version carried in every header. Version 2 dropped the
-/// per-shard lists from the stats and health payloads; a version-1 peer
+/// per-shard lists from the stats and health payloads. Version 3
+/// dropped verdict source 1 (the threshold scan's early accept), which
+/// now decodes as [`WireError::Malformed`]. A peer of any other version
 /// is refused with [`WireError::BadVersion`].
-pub const VERSION: u8 = 2;
+pub const VERSION: u8 = 3;
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 20;
 /// Default per-frame payload cap (4 MiB) — see
@@ -341,7 +343,6 @@ fn put_verdict(out: &mut Vec<u8>, v: &Verdict) {
     put_u32(out, v.class as u32);
     out.push(match v.source {
         VerdictSource::Scan => 0,
-        VerdictSource::EarlyAccept => 1,
         VerdictSource::CacheHit => 2,
     });
     match &v.cycles {
@@ -734,7 +735,6 @@ fn take_verdict(cur: &mut Cur<'_>) -> Result<Verdict, WireError> {
     let class = cur.u32()? as usize;
     let source = match cur.u8()? {
         0 => VerdictSource::Scan,
-        1 => VerdictSource::EarlyAccept,
         2 => VerdictSource::CacheHit,
         _ => return Err(WireError::Malformed("unknown verdict source")),
     };

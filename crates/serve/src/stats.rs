@@ -252,9 +252,9 @@ pub struct ServerStats {
     pub contained_panics: u64,
     /// Query-cache hits — windows answered by replaying a previously
     /// computed verdict instead of an associative-memory scan. Filled
-    /// only when the served session was prepared with a caching
-    /// [`ApproxPolicy`](pulp_hd_core::backend::ApproxPolicy); zero
-    /// otherwise.
+    /// only when the served session has a query cache
+    /// ([`FastBackend::with_cache`](pulp_hd_core::backend::FastBackend::with_cache));
+    /// zero otherwise.
     pub cache_hits: u64,
     /// Query-cache misses — windows that went through the full scan
     /// (and were then inserted). Filled alongside

@@ -95,10 +95,10 @@ fn sample_verdict(rng: &mut Xoshiro256PlusPlus) -> Verdict {
                 total: u64::from(rng.next_u32()),
             })
         },
-        source: match rng.next_u32() % 3 {
-            0 => VerdictSource::Scan,
-            1 => VerdictSource::EarlyAccept,
-            _ => VerdictSource::CacheHit,
+        source: if rng.next_u32().is_multiple_of(2) {
+            VerdictSource::Scan
+        } else {
+            VerdictSource::CacheHit
         },
     }
 }
@@ -342,8 +342,10 @@ fn header_rejections_are_typed() {
     ));
 
     // A version-1 peer (whose stats and health frames still carried
-    // shard lists) is refused like any other unknown version.
-    for version in [1u8, 99] {
+    // shard lists) and a version-2 peer (whose verdicts may carry
+    // source 1, the early accept) are refused like any other unknown
+    // version.
+    for version in [1u8, 2, 99] {
         let mut bad_version = frame.clone();
         bad_version[4] = version;
         assert!(matches!(
@@ -374,19 +376,63 @@ fn header_rejections_are_typed() {
     ));
 }
 
+/// Verdict source bytes 0 (scan) and 2 (cache hit) decode; byte 1, the
+/// threshold scan's early accept until protocol version 3, and every
+/// other byte are `Malformed`.
+#[test]
+fn unknown_verdict_sources_are_malformed() {
+    let response = Response::Verdict(Verdict {
+        class: 3,
+        distances: vec![7, 9],
+        query: BinaryHv::from_words(vec![0xDEAD_BEEF]),
+        cycles: None,
+        source: VerdictSource::Scan,
+    });
+    let frame = encode_response(1, &response);
+    let header = decode_header(&frame, MAX_FRAME).unwrap();
+    // The payload opens with the class (u32), then the source byte.
+    let at = proto::HEADER_LEN + 4;
+    assert_eq!(frame[at], 0, "the scan source encodes as 0");
+    for byte in 0..=u8::MAX {
+        let mut bytes = frame.clone();
+        bytes[at] = byte;
+        let decoded = decode_response(&header, &bytes[proto::HEADER_LEN..]);
+        match byte {
+            0 | 2 => {
+                let Ok(Response::Verdict(v)) = decoded else {
+                    panic!("source byte {byte}: {decoded:?}");
+                };
+                let expected = if byte == 0 {
+                    VerdictSource::Scan
+                } else {
+                    VerdictSource::CacheHit
+                };
+                assert_eq!(v.source, expected);
+            }
+            _ => assert!(
+                matches!(
+                    decoded,
+                    Err(proto::WireError::Malformed("unknown verdict source"))
+                ),
+                "source byte {byte}: {decoded:?}"
+            ),
+        }
+    }
+}
+
 /// A `Classify` request (a 3×4 window with a 250 ms deadline), as the
 /// wire carries it. Any change to these bytes is a protocol change.
 const GOLDEN_REQUEST: &str = concat!(
-    "4e484431020100000807060504030201280000",
+    "4e484431030100000807060504030201280000",
     "0090d003000000000003000000040000000100",
     "03020504feff110000000010ffff2c012d012e012f01",
 );
 
-/// A `Verdict` response (5 distances, a 4-word query, cycle counts, an
-/// early-accept source), as the wire carries it.
+/// A `Verdict` response (5 distances, a 4-word query, cycle counts, a
+/// cache-hit source), as the wire carries it.
 const GOLDEN_VERDICT: &str = concat!(
-    "4e4844310281000008070605040302014a0000",
-    "00030000000101d20400000000000037020000",
+    "4e4844310381000008070605040302014a0000",
+    "00030000000201d20400000000000037020000",
     "0000000009070000000000000500000004100000",
     "960f000094130000110000000010000004000000",
     "efbeadde67452301efcdab8901000080",
@@ -419,7 +465,7 @@ fn encoder_reproduces_golden_bytes() {
             am: 567,
             total: 1801,
         }),
-        source: VerdictSource::EarlyAccept,
+        source: VerdictSource::CacheHit,
     });
 
     let bytes = encode_request(ID, &request);

@@ -2,13 +2,14 @@
 //! direct session, concurrent clients, backpressure, graceful shutdown,
 //! per-request error isolation, and telemetry sanity.
 
+use std::num::NonZeroUsize;
 use std::sync::mpsc::channel;
 use std::time::Duration;
 
 use hdc::rng::Xoshiro256PlusPlus;
 use pulp_hd_core::backend::{
-    ApproxPolicy, ExecutionBackend, FastBackend, FaultBackend, FaultKind, FaultPlan, GoldenBackend,
-    HdModel, ScanPolicy, TrainSpec, TrainableBackend,
+    ExecutionBackend, FastBackend, FaultBackend, FaultKind, FaultPlan, GoldenBackend, HdModel,
+    TrainSpec, TrainableBackend,
 };
 use pulp_hd_core::layout::AccelParams;
 use pulp_hd_serve::{ServeConfig, ServeError, Server, TrySubmitError};
@@ -414,13 +415,13 @@ fn invalid_configs_are_rejected() {
     let _ = server.shutdown();
 }
 
-/// The engine knobs pass through `Server::spawn`: an exact config stays
-/// bit-identical to direct classification, a caching config replays the
-/// same verdicts and surfaces its counters in `ServerStats`, and a
-/// backend that cannot realize a non-default knob rejects it at spawn.
+/// A server over a cached session (`FastBackend::with_cache`, handed to
+/// `Server::from_session`) replays the verdicts direct classification
+/// computes and surfaces its cache counters in `ServerStats`; a server
+/// spawned on the default backend has no cache and reports zeros.
 #[test]
 #[cfg_attr(miri, ignore = "OS threads and wall-clock deadlines")]
-fn approx_config_passes_through_to_the_backend() {
+fn cached_session_serves_exact_verdicts_and_counts_hits() {
     let params = params();
     let model = HdModel::random(&params, 0xCAFE);
     let pool = random_windows(&params, 3, 6, 0xAB);
@@ -429,36 +430,26 @@ fn approx_config_passes_through_to_the_backend() {
     let mut direct = GoldenBackend.prepare(&model).unwrap();
     let expected: Vec<_> = stream.iter().map(|w| direct.classify(w).unwrap()).collect();
 
-    // Explicit Exact through the tuned path: still bit-identical.
-    let exact = Server::spawn(
+    let plain = Server::spawn(
         &FastBackend::try_with_threads(1).unwrap(),
         &model,
-        ServeConfig {
-            scan: ScanPolicy::Full,
-            approx: ApproxPolicy::Exact,
-            ..ServeConfig::default()
-        },
+        ServeConfig::default(),
     )
     .unwrap();
-    let client = exact.client();
+    let client = plain.client();
     for (i, w) in stream.iter().enumerate() {
         assert_eq!(client.classify(w).unwrap(), expected[i], "window {i}");
     }
-    let stats = exact.shutdown();
-    assert_eq!(stats.cache_hits, 0, "exact sessions carry no cache");
+    let stats = plain.shutdown();
+    assert_eq!(stats.cache_hits, 0, "the default session carries no cache");
     assert_eq!(stats.cache_misses, 0);
 
-    // A caching policy: identical classes/distances (the cache replays
-    // full verdicts), live hit/miss counters in the stats.
-    let cached = Server::spawn(
-        &FastBackend::try_with_threads(1).unwrap(),
-        &model,
-        ServeConfig {
-            approx: ApproxPolicy::Cached { capacity: 16 },
-            ..ServeConfig::default()
-        },
-    )
-    .unwrap();
+    let session = FastBackend::try_with_threads(1)
+        .unwrap()
+        .with_cache(NonZeroUsize::new(16).unwrap())
+        .prepare(&model)
+        .unwrap();
+    let cached = Server::from_session(session, ServeConfig::default()).unwrap();
     let client = cached.client();
     for (i, w) in stream.iter().enumerate() {
         let verdict = client.classify(w).unwrap();
@@ -473,18 +464,4 @@ fn approx_config_passes_through_to_the_backend() {
         "every window is a hit or a miss"
     );
     assert!(stats.cache_hits >= (stream.len() - pool.len()) as u64);
-
-    // The golden backend has no approximate rungs: non-default knobs
-    // are rejected at spawn time, not silently ignored.
-    assert!(matches!(
-        Server::spawn(
-            &GoldenBackend,
-            &model,
-            ServeConfig {
-                approx: ApproxPolicy::Threshold { tau: 0.2 },
-                ..ServeConfig::default()
-            },
-        ),
-        Err(ServeError::Backend(_))
-    ));
 }
