@@ -41,8 +41,11 @@
 //!   split into contiguous chunks with the calling thread working chunk
 //!   0 alongside the pool, and an adaptive cutover keeps small batches
 //!   inline on the calling thread — fanning out only when every
-//!   participant gets at least [`MIN_WINDOWS_PER_WORKER`] windows, so
-//!   the threaded path never loses to the single-threaded one. The
+//!   participant gets at least [`MIN_WINDOWS_PER_WORKER`] windows. That
+//!   cutover is a constant, not a measurement of the host, and on a
+//!   2-CPU host the threaded path can lose to the single-threaded one
+//!   (ROADMAP item L: 5-sample classify at ×0.52–0.77 of one thread at
+//!   16–32 windows). The
 //!   pool holds `min(threads, available_parallelism) - 1` workers:
 //!   oversubscribing a CPU-bound bit-kernel workload can only add
 //!   context switches. Every job runs with its panics contained: a

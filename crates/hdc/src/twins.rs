@@ -94,32 +94,32 @@ pub const KERNEL_TWINS: &[KernelTwin] = &[
     KernelTwin {
         kernel: "maj3_into",
         twin: "maj3_into",
-        levels: &["avx2"],
+        levels: &["avx2", "avx512"],
     },
     KernelTwin {
         kernel: "maj5_into",
         twin: "maj5_into",
-        levels: &["avx2"],
+        levels: &["avx2", "avx512"],
     },
     KernelTwin {
         kernel: "maj5_tie_into",
         twin: "maj5_tie_into",
-        levels: &["avx2"],
+        levels: &["avx2", "avx512"],
     },
     KernelTwin {
         kernel: "ripple_majority_into",
         twin: "ripple_majority_from",
-        levels: &["avx2"],
+        levels: &["avx2", "avx512"],
     },
     KernelTwin {
         kernel: "csa_step",
         twin: "csa_step",
-        levels: &["avx2"],
+        levels: &["avx2", "avx512"],
     },
     KernelTwin {
         kernel: "counter_majority_into",
         twin: "counter_majority_from",
-        levels: &["avx2"],
+        levels: &["avx2", "avx512"],
     },
     KernelTwin {
         kernel: "xor_rotated_into",
@@ -133,22 +133,19 @@ pub const KERNEL_TWINS: &[KernelTwin] = &[
 /// kernels above, whose differential fuzzers therefore cover them.
 /// Listing a helper here exempts it from the twin requirement at its
 /// level — the audit lint still fails on any `#[target_feature]`
-/// function registered in neither list at the level it sits in. The
-/// AVX-512 level's one kernel needs no helper.
-pub const KERNEL_HELPERS: &[KernelHelpers] = &[KernelHelpers {
-    level: "avx2",
-    names: &[
-        "loadu",
-        "storeu",
-        "popcnt_epi64",
-        "hsum_epi64",
-        "full_add_v",
-        "maj5_v",
-        "vote_lanes",
-        "wide_vote_v",
-        "half_add_from_v",
-    ],
-}];
+/// function registered in neither list at the level it sits in. Each
+/// SIMD level's `Lane` impl has one: `wide_vote`, the vote network's
+/// out-of-line spatial vote for windows of six channels or more.
+pub const KERNEL_HELPERS: &[KernelHelpers] = &[
+    KernelHelpers {
+        level: "avx2",
+        names: &["popcnt_epi64", "hsum_epi64", "wide_vote"],
+    },
+    KernelHelpers {
+        level: "avx512",
+        names: &["wide_vote"],
+    },
+];
 
 #[cfg(test)]
 mod tests {
@@ -160,9 +157,15 @@ mod tests {
         for twin in KERNEL_TWINS {
             assert!(seen.insert(twin.kernel), "duplicate kernel {}", twin.kernel);
         }
+        let mut helpers_seen = std::collections::HashSet::new();
         for helpers in KERNEL_HELPERS {
             for helper in helpers.names {
-                assert!(seen.insert(helper), "helper {helper} shadows a kernel");
+                assert!(!seen.contains(helper), "helper {helper} shadows a kernel");
+                assert!(
+                    helpers_seen.insert((helpers.level, helper)),
+                    "helper {helper} listed twice at {}",
+                    helpers.level
+                );
             }
         }
     }
